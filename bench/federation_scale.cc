@@ -810,7 +810,7 @@ int main(int argc, char** argv) {
         ++violations;
       }
       // The lookahead contract, held end to end: with the federation epoch derived
-      // at (or under) trunk latency the DrainMail clamp never binds, so the p95
+      // at (or under) trunk latency the barrier mail clamp never binds, so the p95
       // must carry real trunk serialization time — not sit on a barrier multiple
       // the way the fixed 1 s epoch pinned it.
       const double p95_mod_epoch =

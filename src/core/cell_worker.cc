@@ -5,11 +5,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -17,6 +15,43 @@
 #include "src/util/ckpt.h"
 
 namespace presto {
+namespace {
+
+// Trivially copyable structs (configs, driver params) ride the wire as one
+// length-prefixed raw byte blob.
+template <typename T>
+void WriteRaw(ByteWriter& w, const T& v) {
+  static_assert(std::is_trivially_copyable<T>::value, "raw wire structs only");
+  w.WriteBytes(span<const uint8_t>(reinterpret_cast<const uint8_t*>(&v), sizeof(T)));
+}
+
+template <typename T>
+Status ReadRaw(ByteReader& r, T* out) {
+  static_assert(std::is_trivially_copyable<T>::value, "raw wire structs only");
+  auto raw = r.ReadBytes();
+  if (!raw.ok()) {
+    return raw.status();
+  }
+  if (raw->size() != sizeof(T)) {
+    return DataLossError("fed seam: raw struct size mismatch");
+  }
+  std::memcpy(static_cast<void*>(out), raw->data(), sizeof(T));
+  return OkStatus();
+}
+
+// Every request payload has an exact layout: leftover bytes are corruption.
+Status AtEnd(const ByteReader& r, const char* what) {
+  if (r.remaining() != 0) {
+    return DataLossError(std::string("cell_worker: ") + what + " trailing bytes");
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// CellWorker: decode one frame, call the CellHost, encode the reply.
+// ---------------------------------------------------------------------------
 
 int CellWorker::Serve() {
   while (true) {
@@ -50,383 +85,390 @@ int CellWorker::Serve() {
 }
 
 Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
-  const span<const uint8_t> payload(request.payload);
+  ByteReader r{span<const uint8_t>(request.payload)};
   if (request.type == FedFrameType::kBootstrap) {
-    return HandleBootstrap(payload);
+    return Bootstrap(r);
   }
   if (request.type == FedFrameType::kShutdown) {
     return OkStatus();  // reply kAck, then Serve leaves its loop
   }
-  if (!bootstrapped_) {
+  if (host_ == nullptr) {
     return FailedPreconditionError("cell_worker: not bootstrapped");
   }
+  CellHost& host = *host_;
+  int cell = 0;
   switch (request.type) {
     case FedFrameType::kStart:
-      PRESTO_RETURN_IF_ERROR(HandleStart());
+      PRESTO_RETURN_IF_ERROR(host.Start());
       break;
-    case FedFrameType::kAttachDriver:
-      return HandleAttachDriver(payload, reply);
-    case FedFrameType::kStartDriver:
-      PRESTO_RETURN_IF_ERROR(HandleStartDriver(payload));
+    case FedFrameType::kAttachDriver: {
+      QueryDriverParams params{};
+      CKPT_READ(r, cell);
+      PRESTO_RETURN_IF_ERROR(ReadRaw(r, &params));
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "attach-driver"));
+      auto slot = host.AttachDriver(cell, params);
+      if (!slot.ok()) {
+        return slot.status();
+      }
+      ByteWriter w;
+      w.WriteVarU64(static_cast<uint64_t>(*slot));
+      reply->payload = w.TakeBuffer();
+      return OkStatus();
+    }
+    case FedFrameType::kStartDriver: {
+      int slot = 0;
+      Duration duration = 0;
+      CKPT_READ(r, cell);
+      CKPT_READ(r, slot);
+      CKPT_READ(r, duration);
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "start-driver"));
+      PRESTO_RETURN_IF_ERROR(host.StartDriver(cell, slot, duration));
       break;
-    case FedFrameType::kStep:
-      PRESTO_RETURN_IF_ERROR(HandleStep(payload));
+    }
+    case FedFrameType::kStep: {
+      SimTime barrier = 0, end = 0;
+      std::vector<FedMail> mail;
+      CKPT_READ(r, barrier);
+      CKPT_READ(r, end);
+      CKPT_READ(r, mail);
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "step"));
+      PRESTO_RETURN_IF_ERROR(host.Step(barrier, end, std::move(mail)));
       break;
-    case FedFrameType::kInject:
-      PRESTO_RETURN_IF_ERROR(HandleInject(payload));
+    }
+    case FedFrameType::kInject: {
+      uint64_t token = 0;
+      FederationQuerySpec spec;
+      CKPT_READ(r, cell);
+      CKPT_READ(r, token);
+      CKPT_READ(r, spec);
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "inject"));
+      PRESTO_RETURN_IF_ERROR(host.Inject(cell, token, spec));
       break;
+    }
     case FedFrameType::kKillCell:
-      PRESTO_RETURN_IF_ERROR(HandleKillCell(payload));
-      break;
     case FedFrameType::kReviveCell:
-      PRESTO_RETURN_IF_ERROR(HandleReviveCell(payload));
+      CKPT_READ(r, cell);
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "kill/revive-cell"));
+      if (request.type == FedFrameType::kKillCell) {
+        PRESTO_RETURN_IF_ERROR(host.KillCell(cell));
+      } else {
+        PRESTO_RETURN_IF_ERROR(host.ReviveCell(cell));
+      }
       break;
     case FedFrameType::kKillProxy:
-      PRESTO_RETURN_IF_ERROR(HandleProxyOp(payload, /*kill=*/true));
+    case FedFrameType::kReviveProxy: {
+      int proxy = 0;
+      CKPT_READ(r, cell);
+      CKPT_READ(r, proxy);
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "proxy-op"));
+      const bool kill = request.type == FedFrameType::kKillProxy;
+      PRESTO_RETURN_IF_ERROR(host.ProxyOp(cell, proxy, kill));
       break;
-    case FedFrameType::kReviveProxy:
-      PRESTO_RETURN_IF_ERROR(HandleProxyOp(payload, /*kill=*/false));
+    }
+    case FedFrameType::kMigrateSensor: {
+      int global_index = 0, new_owner = 0;
+      CKPT_READ(r, cell);
+      CKPT_READ(r, global_index);
+      CKPT_READ(r, new_owner);
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "migrate-sensor"));
+      PRESTO_RETURN_IF_ERROR(host.MigrateSensor(cell, global_index, new_owner));
       break;
-    case FedFrameType::kMigrateSensor:
-      PRESTO_RETURN_IF_ERROR(HandleMigrateSensor(payload));
-      break;
-    case FedFrameType::kSnapshot:
-      return HandleSnapshot(reply);
-    case FedFrameType::kCkptSave:
-      return HandleCkptSave(reply);
-    case FedFrameType::kCkptLoad:
-      return HandleCkptLoad(payload);
+    }
+    case FedFrameType::kSnapshot: {
+      std::vector<FedCellSnapshot> snaps;
+      PRESTO_RETURN_IF_ERROR(host.Snapshot(&snaps));
+      ByteWriter w;
+      CkptWrite(w, snaps);
+      reply->payload = w.TakeBuffer();
+      return OkStatus();
+    }
+    case FedFrameType::kCkptSave: {
+      Checkpoint sub;
+      PRESTO_RETURN_IF_ERROR(host.SaveCheckpoint(&sub));
+      reply->payload = sub.Encode();
+      return OkStatus();
+    }
+    case FedFrameType::kCkptLoad: {
+      auto blob = r.ReadBytes();
+      if (!blob.ok()) {
+        return blob.status();
+      }
+      std::vector<uint8_t> down;
+      PRESTO_RETURN_IF_ERROR(
+          ReadCellBitmap(r, static_cast<size_t>(host.num_cells()), &down));
+      PRESTO_RETURN_IF_ERROR(AtEnd(r, "ckpt-load"));
+      auto ckpt = Checkpoint::Decode(span<const uint8_t>(*blob));
+      if (!ckpt.ok()) {
+        return ckpt.status();
+      }
+      return host.LoadCheckpoint(*ckpt, down);
+    }
     default:
       return InvalidArgumentError("cell_worker: unexpected frame type");
   }
   // Every control op replies with the mail (and host-probe completions) it
   // generated, so the parent's routing never waits an extra barrier.
-  reply->payload = ControlReply();
+  CellHostReply out;
+  PRESTO_RETURN_IF_ERROR(host.TakeReply(&out));
+  reply->payload = EncodeFedControlReply(out.mail, out.host_done);
   return OkStatus();
 }
 
-Status CellWorker::HandleBootstrap(span<const uint8_t> payload) {
-  if (bootstrapped_) {
+Status CellWorker::Bootstrap(ByteReader& r) {
+  if (host_ != nullptr) {
     return FailedPreconditionError("cell_worker: already bootstrapped");
   }
-  ByteReader r{payload};
-  auto raw = r.ReadBytes();
-  if (!raw.ok()) {
-    return raw.status();
+  FederationConfig config{};
+  int host_index = 0, num_hosts = 0;
+  PRESTO_RETURN_IF_ERROR(ReadRaw(r, &config));
+  CKPT_READ(r, host_index);
+  CKPT_READ(r, num_hosts);
+  PRESTO_RETURN_IF_ERROR(AtEnd(r, "bootstrap"));
+  auto host = CellHost::Create(config, host_index, num_hosts);
+  if (!host.ok()) {
+    return host.status();
   }
-  static_assert(std::is_trivially_copyable<FederationConfig>::value,
-                "FederationConfig rides the wire as raw bytes");
-  if (raw->size() != sizeof(FederationConfig)) {
-    return DataLossError("cell_worker: bootstrap config size mismatch");
-  }
-  std::memcpy(&config_, raw->data(), sizeof(FederationConfig));
-  CKPT_READ(r, worker_index_);
-  CKPT_READ(r, num_workers_);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: bootstrap trailing bytes");
-  }
-  if (num_workers_ < 1 || worker_index_ < 0 || worker_index_ >= num_workers_ ||
-      config_.num_cells < 1 || config_.cell.num_proxies < 1 ||
-      config_.cell.sensors_per_proxy < 1 || config_.epoch <= 0) {
-    return InvalidArgumentError("cell_worker: bad bootstrap parameters");
-  }
-  for (int c = worker_index_; c < config_.num_cells; c += num_workers_) {
-    hosted_.push_back(c);
-    DeploymentConfig cell_config = config_.cell;
-    cell_config.seed = FederationCellSeed(config_.seed, c);
-    cells_.push_back(std::make_unique<Deployment>(cell_config));
-    // Pairwise construction keeps each simulator's sink-registration order
-    // identical to the in-process federation — the checkpoint sink-id contract.
-    cores_.push_back(std::make_unique<FedCell>(c, &config_, cells_.back().get()));
-  }
-  bootstrapped_ = true;
+  host_ = std::move(*host);
   return OkStatus();
 }
 
-Status CellWorker::HandleStart() {
-  for (auto& cell : cells_) {
-    cell->Start();
+// ---------------------------------------------------------------------------
+// RemoteCellHost: the orchestrator side of the same seam.
+// ---------------------------------------------------------------------------
+
+Status RemoteCellHost::Die(Status status) {
+  on_death_();  // idempotent on the orchestrator side
+  return status;
+}
+
+Status RemoteCellHost::Call(FedFrameType type, std::vector<uint8_t> payload,
+                            std::vector<uint8_t>* reply) {
+  FedFrame frame;
+  frame.type = type;
+  frame.payload = std::move(payload);
+  const Status sent = channel_->Send(frame);
+  if (!sent.ok()) {
+    return Die(sent);
   }
+  auto received = channel_->Recv();
+  if (!received.ok()) {
+    return Die(received.status());
+  }
+  if (received->type == FedFrameType::kError) {
+    ByteReader r{span<const uint8_t>(received->payload)};
+    Status failure = OkStatus();
+    PRESTO_RETURN_IF_ERROR(CkptRead(r, failure));
+    if (failure.ok()) {
+      return DataLossError("federation: kError reply without an error");
+    }
+    return failure;
+  }
+  if (received->type != FedFrameType::kAck) {
+    return DataLossError("federation: unexpected worker reply");
+  }
+  *reply = std::move(received->payload);
   return OkStatus();
 }
 
-Status CellWorker::HandleAttachDriver(span<const uint8_t> payload, FedFrame* reply) {
-  ByteReader r{payload};
-  int origin = 0;
-  CKPT_READ(r, origin);
-  auto raw = r.ReadBytes();
-  if (!raw.ok()) {
-    return raw.status();
+Status RemoteCellHost::Control(FedFrameType type, std::vector<uint8_t> payload) {
+  std::vector<uint8_t> reply;
+  Status s = Call(type, std::move(payload), &reply);
+  if (s.ok()) {
+    s = AbsorbControlReply(reply);
   }
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: attach-driver trailing bytes");
-  }
-  static_assert(std::is_trivially_copyable<QueryDriverParams>::value,
-                "QueryDriverParams rides the wire as raw bytes");
-  if (raw->size() != sizeof(QueryDriverParams)) {
-    return DataLossError("cell_worker: driver params size mismatch");
-  }
-  QueryDriverParams params{};
-  std::memcpy(&params, raw->data(), sizeof(QueryDriverParams));
-  auto slot = SlotOf(origin);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  if (params.mix.num_sensors > 0 &&
-      params.mix.num_sensors > config_.num_cells * config_.cell.num_proxies *
-                                   config_.cell.sensors_per_proxy) {
-    return InvalidArgumentError("driver namespace exceeds the federation population");
-  }
-  const int driver_slot =
-      cores_[static_cast<size_t>(*slot)]->AttachDriver(params);
-  ByteWriter w;
-  w.WriteVarU64(static_cast<uint64_t>(driver_slot));
-  reply->payload = w.TakeBuffer();
-  return OkStatus();
+  return s.ok() ? s : Die(std::move(s));
 }
 
-Status CellWorker::HandleStartDriver(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0, driver_slot = 0;
-  Duration duration = 0;
-  CKPT_READ(r, cell);
-  CKPT_READ(r, driver_slot);
-  CKPT_READ(r, duration);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: start-driver trailing bytes");
-  }
-  auto slot = SlotOf(cell);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  FedCell& core = *cores_[static_cast<size_t>(*slot)];
-  if (driver_slot < 0 || driver_slot >= core.num_drivers()) {
-    return InvalidArgumentError("cell_worker: driver slot out of range");
-  }
-  core.StartDriver(driver_slot, duration);
-  return OkStatus();
-}
-
-Status CellWorker::HandleStep(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  SimTime barrier = 0, end = 0;
-  CKPT_READ(r, barrier);
-  CKPT_READ(r, end);
+Status RemoteCellHost::AbsorbControlReply(const std::vector<uint8_t>& payload) {
   std::vector<FedMail> mail;
-  CKPT_READ(r, mail);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: step trailing bytes");
-  }
-  for (FedMail& m : mail) {
-    auto slot = SlotOf(m.target_cell);
-    if (!slot.ok()) {
-      return slot.status();
-    }
-    if (m.op != kFedOpExecute && m.op != kFedOpComplete) {
-      return DataLossError("cell_worker: bad mail op in step");
-    }
-    cores_[static_cast<size_t>(*slot)]->DeliverMail(std::move(m), barrier);
-  }
-  for (auto& cell : cells_) {
-    cell->RunUntil(end);
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleInject(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int origin = 0;
-  uint64_t token = 0;
-  FederationQuerySpec spec;
-  CKPT_READ(r, origin);
-  CKPT_READ(r, token);
-  CKPT_READ(r, spec);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: inject trailing bytes");
-  }
-  auto slot = SlotOf(origin);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  const int total = config_.num_cells * config_.cell.num_proxies *
-                    config_.cell.sensors_per_proxy;
-  if (spec.fed_sensor < 0 || spec.fed_sensor >= total) {
-    return InvalidArgumentError("cell_worker: inject sensor out of range");
-  }
-  FedCell::Pending q;
-  q.origin = FedCell::Origin::kHost;
-  q.host_token = token;
-  // Fail-fast (dead target) and same-instant completions land in host_done_ and
-  // ride back in this very reply's control fold.
-  cores_[static_cast<size_t>(*slot)]->Issue(spec, std::move(q));
-  return OkStatus();
-}
-
-Status CellWorker::HandleKillCell(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0;
-  CKPT_READ(r, cell);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: kill-cell trailing bytes");
-  }
-  if (cell < 0 || cell >= config_.num_cells) {
-    return InvalidArgumentError("cell_worker: cell index out of range");
-  }
-  // Every hosted gateway marks the cell down and fails its pending queries
-  // toward it (hosted-cell ascending, qid ascending within — deterministic).
-  for (auto& core : cores_) {
-    core->SetCellDown(cell, true);
-    core->FailPendingToward(cell);
-  }
-  auto slot = SlotOf(cell);
-  if (slot.ok()) {
-    Deployment& victim = *cells_[static_cast<size_t>(*slot)];
-    for (int p = 0; p < victim.config().num_proxies; ++p) {
-      victim.KillProxy(p);
-    }
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleReviveCell(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0;
-  CKPT_READ(r, cell);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: revive-cell trailing bytes");
-  }
-  if (cell < 0 || cell >= config_.num_cells) {
-    return InvalidArgumentError("cell_worker: cell index out of range");
-  }
-  auto slot = SlotOf(cell);
-  if (slot.ok()) {
-    Deployment& revived = *cells_[static_cast<size_t>(*slot)];
-    for (int p = 0; p < revived.config().num_proxies; ++p) {
-      revived.ReviveProxy(p);
-    }
-  }
-  for (auto& core : cores_) {
-    core->SetCellDown(cell, false);
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleProxyOp(span<const uint8_t> payload, bool kill) {
-  ByteReader r{payload};
-  int cell = 0, proxy = 0;
-  CKPT_READ(r, cell);
-  CKPT_READ(r, proxy);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: proxy-op trailing bytes");
-  }
-  auto slot = SlotOf(cell);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  Deployment& target = *cells_[static_cast<size_t>(*slot)];
-  if (proxy < 0 || proxy >= target.config().num_proxies) {
-    return InvalidArgumentError("cell_worker: proxy index out of range");
-  }
-  if (kill) {
-    target.KillProxy(proxy);
-  } else {
-    target.ReviveProxy(proxy);
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleMigrateSensor(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0, global_index = 0, new_owner = 0;
-  CKPT_READ(r, cell);
-  CKPT_READ(r, global_index);
-  CKPT_READ(r, new_owner);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: migrate-sensor trailing bytes");
-  }
-  auto slot = SlotOf(cell);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  Deployment& target = *cells_[static_cast<size_t>(*slot)];
-  if (global_index < 0 || global_index >= target.total_sensors() ||
-      new_owner < 0 || new_owner >= target.config().num_proxies) {
-    return InvalidArgumentError("cell_worker: migrate-sensor argument out of range");
-  }
-  target.MigrateSensor(global_index, new_owner);
-  return OkStatus();
-}
-
-Status CellWorker::HandleSnapshot(FedFrame* reply) {
-  ByteWriter w;
-  w.WriteVarU64(cores_.size());
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    FedCell& core = *cores_[i];
-    FedCellSnapshot snap;
-    snap.sim_fingerprint = cells_[i]->sim().fingerprint();
-    snap.events = cells_[i]->sim().events_executed();
-    snap.counters = core.counters();
-    snap.trunks = core.TrunkTotals();
-    for (int d = 0; d < core.num_drivers(); ++d) {
-      snap.drivers.push_back(core.driver(d).stats());
-    }
-    CkptWrite(w, snap);
-  }
-  reply->payload = w.TakeBuffer();
-  return OkStatus();
-}
-
-Status CellWorker::HandleCkptSave(FedFrame* reply) {
-  Checkpoint sub;
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    PRESTO_RETURN_IF_ERROR(SaveCellCheckpoint(*cells_[i], *cores_[i], &sub));
-  }
-  reply->payload = sub.Encode();
-  return OkStatus();
-}
-
-Status CellWorker::HandleCkptLoad(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  auto blob = r.ReadBytes();
-  if (!blob.ok()) {
-    return blob.status();
-  }
-  std::vector<uint8_t> down;
+  std::vector<FedCell::HostDone> host_done;
   PRESTO_RETURN_IF_ERROR(
-      ReadCellBitmap(r, static_cast<size_t>(config_.num_cells), &down));
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: ckpt-load trailing bytes");
+      DecodeFedControlReply(span<const uint8_t>(payload), &mail, &host_done));
+  for (FedMail& m : mail) {
+    if (m.source_cell < 0 || m.source_cell >= num_cells_ || m.target_cell < 0 ||
+        m.target_cell >= num_cells_ ||
+        (m.op != kFedOpExecute && m.op != kFedOpComplete)) {
+      return DataLossError("federation: bad mail in control reply");
+    }
+    reply_.mail.push_back(std::move(m));
   }
-  auto ckpt = Checkpoint::Decode(span<const uint8_t>(*blob));
-  if (!ckpt.ok()) {
-    return ckpt.status();
-  }
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    cores_[i]->RestoreCellDown(down);
-    cores_[i]->TakeOutbox();  // undrained mail belongs to the orchestrator
-    PRESTO_RETURN_IF_ERROR(LoadCellCheckpoint(*cells_[i], *cores_[i], *ckpt));
+  for (FedCell::HostDone& d : host_done) {
+    reply_.host_done.push_back(std::move(d));
   }
   return OkStatus();
 }
 
-Result<int> CellWorker::SlotOf(int cell_index) const {
-  if (cell_index >= worker_index_ && cell_index < config_.num_cells &&
-      cell_index % num_workers_ == worker_index_) {
-    return (cell_index - worker_index_) / num_workers_;
+Status RemoteCellHost::Bootstrap(const FederationConfig& config, int host_index,
+                                 int num_hosts) {
+  ByteWriter payload;
+  WriteRaw(payload, config);
+  CkptWrite(payload, host_index);
+  CkptWrite(payload, num_hosts);
+  std::vector<uint8_t> reply;
+  PRESTO_RETURN_IF_ERROR(Call(FedFrameType::kBootstrap, payload.TakeBuffer(), &reply));
+  num_cells_ = config.num_cells;
+  hosted_ = 0;
+  for (int c = host_index; c < config.num_cells; c += num_hosts) {
+    ++hosted_;
   }
-  return InvalidArgumentError("cell_worker: cell is not hosted by this worker");
+  return OkStatus();
 }
 
-std::vector<uint8_t> CellWorker::ControlReply() {
-  std::vector<FedMail> mail;
-  std::vector<FedCell::HostDone> done;
-  for (auto& core : cores_) {
-    std::vector<FedMail> box = core->TakeOutbox();
-    std::move(box.begin(), box.end(), std::back_inserter(mail));
-    std::vector<FedCell::HostDone> host = core->TakeHostDone();
-    std::move(host.begin(), host.end(), std::back_inserter(done));
+void RemoteCellHost::Shutdown() {
+  bool clean = false;
+  if (channel_->fd() >= 0) {
+    FedFrame frame;
+    frame.type = FedFrameType::kShutdown;
+    auto reply = channel_->Call(frame);
+    clean = reply.ok() && reply->type == FedFrameType::kAck;
+    channel_->Close();
   }
-  return EncodeFedControlReply(mail, done);
+  if (pid_ > 0) {
+    if (!clean) {
+      ::kill(static_cast<pid_t>(pid_), SIGKILL);
+    }
+    ::waitpid(static_cast<pid_t>(pid_), nullptr, 0);
+    pid_ = -1;
+  }
+}
+
+void RemoteCellHost::Abandon() {
+  channel_->Close();
+  if (pid_ > 0) {
+    ::kill(static_cast<pid_t>(pid_), SIGKILL);
+    ::waitpid(static_cast<pid_t>(pid_), nullptr, 0);
+    pid_ = -1;
+  }
+}
+
+Status RemoteCellHost::Start() { return Control(FedFrameType::kStart, {}); }
+
+Result<int> RemoteCellHost::AttachDriver(int origin_cell,
+                                         const QueryDriverParams& params) {
+  ByteWriter w;
+  CkptWrite(w, origin_cell);
+  WriteRaw(w, params);
+  std::vector<uint8_t> reply;
+  PRESTO_RETURN_IF_ERROR(Call(FedFrameType::kAttachDriver, w.TakeBuffer(), &reply));
+  ByteReader r{span<const uint8_t>(reply)};
+  auto slot = r.ReadVarU64();
+  if (!slot.ok() || r.remaining() != 0) {
+    return DataLossError("federation: bad attach-driver reply");
+  }
+  return static_cast<int>(*slot);
+}
+
+Status RemoteCellHost::StartDriver(int cell, int slot, Duration duration) {
+  ByteWriter payload;
+  CkptWrite(payload, cell);
+  CkptWrite(payload, slot);
+  CkptWrite(payload, duration);
+  return Control(FedFrameType::kStartDriver, payload.TakeBuffer());
+}
+
+Status RemoteCellHost::Step(SimTime barrier, SimTime end, std::vector<FedMail> mail) {
+  ByteWriter payload;
+  CkptWrite(payload, barrier);
+  CkptWrite(payload, end);
+  CkptWrite(payload, mail);
+  FedFrame frame;
+  frame.type = FedFrameType::kStep;
+  frame.payload = payload.TakeBuffer();
+  const Status sent = channel_->Send(frame);
+  if (!sent.ok()) {
+    return Die(sent);
+  }
+  step_in_flight_ = true;  // TakeReply collects the reply
+  return OkStatus();
+}
+
+Status RemoteCellHost::Inject(int origin_cell, uint64_t token,
+                              const FederationQuerySpec& spec) {
+  ByteWriter payload;
+  CkptWrite(payload, origin_cell);
+  CkptWrite(payload, token);
+  CkptWrite(payload, spec);
+  return Control(FedFrameType::kInject, payload.TakeBuffer());
+}
+
+Status RemoteCellHost::KillCell(int cell) {
+  ByteWriter payload;
+  CkptWrite(payload, cell);
+  return Control(FedFrameType::kKillCell, payload.TakeBuffer());
+}
+
+Status RemoteCellHost::ReviveCell(int cell) {
+  ByteWriter payload;
+  CkptWrite(payload, cell);
+  return Control(FedFrameType::kReviveCell, payload.TakeBuffer());
+}
+
+Status RemoteCellHost::ProxyOp(int cell, int proxy, bool kill) {
+  ByteWriter payload;
+  CkptWrite(payload, cell);
+  CkptWrite(payload, proxy);
+  return Control(kill ? FedFrameType::kKillProxy : FedFrameType::kReviveProxy,
+                 payload.TakeBuffer());
+}
+
+Status RemoteCellHost::MigrateSensor(int cell, int global_index, int new_owner) {
+  ByteWriter payload;
+  CkptWrite(payload, cell);
+  CkptWrite(payload, global_index);
+  CkptWrite(payload, new_owner);
+  return Control(FedFrameType::kMigrateSensor, payload.TakeBuffer());
+}
+
+Status RemoteCellHost::Snapshot(std::vector<FedCellSnapshot>* out) {
+  std::vector<uint8_t> reply;
+  Status s = Call(FedFrameType::kSnapshot, {}, &reply);
+  if (s.ok()) {
+    ByteReader r{span<const uint8_t>(reply)};
+    s = CkptRead(r, *out);
+    if (s.ok() && (out->size() != static_cast<size_t>(hosted_) || r.remaining() != 0)) {
+      s = DataLossError("federation: bad snapshot reply");
+    }
+  }
+  return s.ok() ? s : Die(std::move(s));
+}
+
+Status RemoteCellHost::SaveCheckpoint(Checkpoint* out) {
+  std::vector<uint8_t> reply;
+  PRESTO_RETURN_IF_ERROR(Call(FedFrameType::kCkptSave, {}, &reply));
+  auto sub = Checkpoint::Decode(span<const uint8_t>(reply));
+  if (!sub.ok()) {
+    return sub.status();
+  }
+  *out = std::move(*sub);
+  return OkStatus();
+}
+
+Status RemoteCellHost::LoadCheckpoint(const Checkpoint& ckpt,
+                                      const std::vector<uint8_t>& cell_down) {
+  ByteWriter payload;
+  payload.WriteBytes(span<const uint8_t>(ckpt.Encode()));
+  WriteCellBitmap(payload, cell_down);
+  std::vector<uint8_t> reply;
+  return Call(FedFrameType::kCkptLoad, payload.TakeBuffer(), &reply);
+}
+
+Status RemoteCellHost::TakeReply(CellHostReply* out) {
+  if (step_in_flight_) {
+    step_in_flight_ = false;
+    auto reply = channel_->Recv();
+    if (!reply.ok()) {
+      return Die(reply.status());
+    }
+    if (reply->type != FedFrameType::kAck) {
+      return Die(DataLossError("federation: worker failed a step"));
+    }
+    const Status absorbed = AbsorbControlReply(reply->payload);
+    if (!absorbed.ok()) {
+      return Die(absorbed);
+    }
+  }
+  *out = std::exchange(reply_, {});
+  return OkStatus();
 }
 
 std::string ResolveCellWorkerBinary() {

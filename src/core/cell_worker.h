@@ -1,28 +1,30 @@
-// The presto_cell worker: one process hosting a slice of a federation's cells.
+// The presto_cell worker and its orchestrator-side handle: both ends of the
+// fed_wire process seam around one CellHost.
 //
 // A Federation in process mode (FederationConfig::cell_processes > 1) forks one
-// of these per process slot; cell c lives in worker c % cell_processes. The
-// worker owns full Deployment + FedCell pairs for its hosted cells and speaks
-// the fed_wire frame protocol over a single inherited socketpair fd: kBootstrap
-// constructs the cells (same seeds, same sink-registration order as the
-// in-process constructor — the cross-mode fingerprint contract), kStep runs one
-// federation epoch and returns the mail it generated, control frames mutate
-// topology, kSnapshot folds telemetry, and kCkptSave/kCkptLoad reuse the exact
-// per-cell checkpoint sections the in-process federation writes (live
-// migration: a worker can bootstrap from either mode's checkpoint).
+// presto_cell per process slot; with cell_endpoints it connects to `presto_cell
+// --listen` workers instead. Cell c lives in worker c % cell_processes. Each
+// worker is a CellWorker: it decodes one frame, calls its CellHost (built by
+// kBootstrap with the same seeds and sink-registration order as an in-process
+// host — the cross-mode fingerprint contract), and encodes the reply. The
+// orchestrator holds a RemoteCellHost per worker, the CellHostHandle that turns
+// each op into one frame round trip.
 //
-// Error discipline mirrors fed_wire's: malformed payloads return kError frames
-// (Status code + message), never a PRESTO_CHECK abort — the parent treats an
-// aborted worker as a crashed cell, so clean errors must stay clean.
+// Error discipline mirrors fed_wire's: malformed payloads and refused arguments
+// return kError frames (Status code + message), never a PRESTO_CHECK abort — the
+// parent treats an aborted worker as a crashed cell, so clean errors must stay
+// clean.
 
 #ifndef SRC_CORE_CELL_WORKER_H_
 #define SRC_CORE_CELL_WORKER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/core/deployment.h"
+#include "src/core/cell_host.h"
 #include "src/core/federation.h"
 #include "src/net/fed_wire.h"
 
@@ -50,36 +52,73 @@ class CellWorker {
  private:
   // Routes one request; a non-OK return becomes the kError reply.
   Status Dispatch(const FedFrame& request, FedFrame* reply);
-
-  Status HandleBootstrap(span<const uint8_t> payload);
-  Status HandleStart();
-  Status HandleAttachDriver(span<const uint8_t> payload, FedFrame* reply);
-  Status HandleStartDriver(span<const uint8_t> payload);
-  Status HandleStep(span<const uint8_t> payload);
-  Status HandleInject(span<const uint8_t> payload);
-  Status HandleKillCell(span<const uint8_t> payload);
-  Status HandleReviveCell(span<const uint8_t> payload);
-  Status HandleProxyOp(span<const uint8_t> payload, bool kill);
-  Status HandleMigrateSensor(span<const uint8_t> payload);
-  Status HandleSnapshot(FedFrame* reply);
-  Status HandleCkptSave(FedFrame* reply);
-  Status HandleCkptLoad(span<const uint8_t> payload);
-
-  // Hosted slot of a global cell index, or an error if it lives elsewhere.
-  Result<int> SlotOf(int cell_index) const;
-  // Drains every hosted cell's outbox + host-probe completions into one encoded
-  // control reply (hosted-cell ascending order — the parent re-sorts by source).
-  std::vector<uint8_t> ControlReply();
+  Status Bootstrap(ByteReader& r);
 
   FrameChannel* channel_;
-  bool bootstrapped_ = false;
   bool shutdown_requested_ = false;
-  FederationConfig config_{};  // outlives the FedCells, which hold a pointer
-  int worker_index_ = 0;
-  int num_workers_ = 1;
-  std::vector<int> hosted_;  // global cell indices, ascending
-  std::vector<std::unique_ptr<Deployment>> cells_;  // paired with cores_
-  std::vector<std::unique_ptr<FedCell>> cores_;
+  std::unique_ptr<CellHost> host_;  // built by kBootstrap
+};
+
+// The orchestrator's handle on one presto_cell worker: every CellHostHandle op is
+// one strict request/reply round trip. A transport failure, or any deviation in a
+// control op's reply, reports through `on_death` — the orchestrator contains it
+// as a cell failure (MarkWorkerDead), never an abort. A worker's kError reply to a
+// checkpoint or attach request comes back as that Status, worker still alive.
+class RemoteCellHost : public CellHostHandle {
+ public:
+  // `pid` > 0: a forked child this handle reaps; -1: a socket peer.
+  RemoteCellHost(std::unique_ptr<FrameChannel> channel, long pid,
+                 std::function<void()> on_death)
+      : channel_(std::move(channel)), pid_(pid), on_death_(std::move(on_death)) {}
+  ~RemoteCellHost() override { Shutdown(); }
+
+  RemoteCellHost(const RemoteCellHost&) = delete;
+  RemoteCellHost& operator=(const RemoteCellHost&) = delete;
+
+  long pid() const { return pid_; }
+
+  // kBootstrap: the worker builds CellHost::Create(config, host_index, num_hosts).
+  Status Bootstrap(const FederationConfig& config, int host_index, int num_hosts);
+  // Best-effort kShutdown, then close; a forked worker that did not ack is killed.
+  // Reaps. Safe to call twice.
+  void Shutdown();
+  // Closes the channel and SIGKILLs + reaps a forked worker, without asking.
+  void Abandon();
+
+  Status Start() override;
+  Result<int> AttachDriver(int origin_cell, const QueryDriverParams& params) override;
+  Status StartDriver(int cell, int slot, Duration duration) override;
+  Status Step(SimTime barrier, SimTime end, std::vector<FedMail> mail) override;
+  Status Inject(int origin_cell, uint64_t token,
+                const FederationQuerySpec& spec) override;
+  Status KillCell(int cell) override;
+  Status ReviveCell(int cell) override;
+  Status ProxyOp(int cell, int proxy, bool kill) override;
+  Status MigrateSensor(int cell, int global_index, int new_owner) override;
+  Status Snapshot(std::vector<FedCellSnapshot>* out) override;
+  Status SaveCheckpoint(Checkpoint* out) override;
+  Status LoadCheckpoint(const Checkpoint& ckpt,
+                        const std::vector<uint8_t>& cell_down) override;
+  Status TakeReply(CellHostReply* out) override;
+
+ private:
+  // One round trip. Transport failures report death; a kError reply returns the
+  // worker's Status; anything but kAck/kError is DataLoss.
+  Status Call(FedFrameType type, std::vector<uint8_t> payload,
+              std::vector<uint8_t>* reply);
+  // Call for control ops: requires kAck and a well-formed control reply, which is
+  // queued for TakeReply; any deviation reports death.
+  Status Control(FedFrameType type, std::vector<uint8_t> payload);
+  Status AbsorbControlReply(const std::vector<uint8_t>& payload);
+  Status Die(Status status);
+
+  std::unique_ptr<FrameChannel> channel_;
+  long pid_;
+  std::function<void()> on_death_;
+  int num_cells_ = 0;  // from Bootstrap: bounds-checks reply mail
+  int hosted_ = 0;     // from Bootstrap: cells per snapshot reply
+  bool step_in_flight_ = false;
+  CellHostReply reply_;  // control replies awaiting TakeReply
 };
 
 // Path to the presto_cell binary: $PRESTO_CELL_BIN wins, else the file next to

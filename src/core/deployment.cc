@@ -41,13 +41,10 @@ void Deployment::Build(MeasureFactory measure_factory) {
 
   // Lane engine: one lane per proxy shard, configured before anything schedules.
   // Sensors start on their home shard's lane so radio neighbourhoods execute
-  // together; with lane_rebind a long-lived ownership change moves them at a
-  // barrier, otherwise failover and migration traffic simply crosses lanes.
+  // together; a long-lived ownership change moves them at a barrier.
   if (config_.lane_engine) {
     sim_.ConfigureLanes(config_.num_proxies, config_.sim_threads, config_.sim_epoch);
   }
-  PRESTO_CHECK_MSG(!config_.auto_epoch || sim_.num_lanes() > 0,
-                   "auto_epoch requires the lane engine");
 
   shard_map_ = std::make_unique<ShardMap>(config_.num_proxies, total_sensors(),
                                           config_.shard_policy,
@@ -166,11 +163,6 @@ void Deployment::Build(MeasureFactory measure_factory) {
     }
     store_->SetSensorChain(GlobalSensorId(g), std::move(ids));
   }
-
-  // Conservative lookahead: derive the epoch from the topology the wiring above just
-  // declared (min cross-lane wired latency), instead of trusting sim_epoch to be
-  // below it. Mutations re-derive as the live link set changes.
-  RetuneEpoch();
 }
 
 SensorNode& Deployment::sensor(int proxy_index, int sensor_index) {
@@ -304,7 +296,7 @@ void Deployment::ApplyChain(int global_index, std::vector<int> chain) {
 }
 
 void Deployment::RebindSensorLane(int global_index, int acting) {
-  if (!config_.lane_rebind || sim_.num_lanes() == 0) {
+  if (sim_.num_lanes() == 0) {
     return;
   }
   const NodeId id = GlobalSensorId(global_index);
@@ -315,17 +307,6 @@ void Deployment::RebindSensorLane(int global_index, int acting) {
   // (it holds their handles, so the generic move must not touch kTimer events).
   net_->RebindNodeLane(id, acting);
   sensors_[static_cast<size_t>(global_index)]->RebindLane(acting);
-  // The cross-lane link set changed shape; a derived epoch may be able to relax.
-  RetuneEpoch();
-}
-
-void Deployment::RetuneEpoch() {
-  if (!config_.auto_epoch || sim_.num_lanes() == 0) {
-    return;
-  }
-  const Duration min_wired = net_->MinCrossLaneWiredLatency();
-  // No cross-lane wired link (single live proxy): no bound, the cap rules.
-  sim_.SetLookahead(min_wired >= 0 ? min_wired : 0);
 }
 
 void Deployment::KillProxy(int proxy_index) {
@@ -335,7 +316,6 @@ void Deployment::KillProxy(int proxy_index) {
   }
   net_->SetNodeDown(ProxyId(proxy_index), true);
   proxy_down_[static_cast<size_t>(proxy_index)] = 1;
-  RetuneEpoch();  // the dead proxy's wired links leave the cross-lane set
   if (ReplicationEnabled()) {
     // Failure detection + takeover lag: the replica set serves degraded through the
     // unified store's failover chain until this event promotes a full owner. The
@@ -357,7 +337,6 @@ void Deployment::ReviveProxy(int proxy_index) {
   }
   net_->SetNodeDown(ProxyId(proxy_index), false);
   proxy_down_[static_cast<size_t>(proxy_index)] = 0;
-  RetuneEpoch();  // revived wired links re-enter the cross-lane set
   // A revival before the promotion fired simply cancels the takeover.
   pending_promotions_[static_cast<size_t>(proxy_index)].Cancel();
   promotion_pending_[static_cast<size_t>(proxy_index)] = 0;
@@ -1031,11 +1010,7 @@ Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& pre
   }));
   // The simulator loads last: restored queue events announce through
   // OnEventRestored into the fully restored subsystems above.
-  PRESTO_RETURN_IF_ERROR(load("sim", [&](ByteReader& r) { return sim_.LoadState(r); }));
-  // Re-derive the conservative lookahead from the restored topology (down proxies,
-  // re-bound lanes) — the same hook every mutation barrier runs.
-  RetuneEpoch();
-  return OkStatus();
+  return load("sim", [&](ByteReader& r) { return sim_.LoadState(r); });
 }
 
 }  // namespace presto

@@ -119,28 +119,14 @@ struct DeploymentConfig {
 
   // --- parallel shard-lane engine (opt-in) ---
   // lane_engine splits the simulator into one lane per proxy shard (sensors ride
-  // their home shard's lane) executed under an epoch-barrier schedule; mutations
-  // (kill / revive / promote / migrate / rebalance) run at barriers. sim_threads
-  // workers execute the lanes — fingerprints are identical for 1 and N workers.
+  // their acting owner's lane, re-bound at the barrier that changes the owner)
+  // executed under an epoch-barrier schedule; mutations (kill / revive / promote /
+  // migrate / rebalance) run at barriers. sim_threads workers execute the lanes —
+  // fingerprints are identical for 1 and N workers.
   // False keeps the seed's legacy single-queue engine (and its fingerprint path).
   bool lane_engine = false;
   int sim_threads = 1;
-  Duration sim_epoch = Millis(500);  // epoch cap / cross-lane delivery granularity
-  // Conservative-lookahead epochs (opt-in; lane_engine only): derive the epoch from
-  // the topology instead of hard-coding it. The engine runs at
-  // epoch = min(sim_epoch, minimum cross-lane wired latency), so a cross-lane wired
-  // send always has a barrier between send and delivery and its sub-epoch latency is
-  // delivered faithfully (the mailbox clamp never binds). Re-derived at mutation
-  // barriers — kills, revives, and lane re-binds change the cross-lane link set.
-  bool auto_epoch = false;
-  // Barrier-time lane re-binding (lane_engine only): when a mutation gives a sensor
-  // a new acting owner (migration, promotion, hand-back), move the sensor's lane to
-  // the owner's at that barrier — timers re-bind cooperatively, pending deliveries
-  // and coalescing batches hand over with times preserved — so a long-lived
-  // ownership change stops paying the conservative cross-lane radio tax after one
-  // epoch. Off: the PR-4 behaviour (lane fixed at build, migrations cross lanes
-  // forever).
-  bool lane_rebind = true;
+  Duration sim_epoch = Millis(500);  // cross-lane delivery granularity
 
   // Load-aware rebalancing (opt-in): every rebalance_period, per-sensor query+push
   // window counters feed an EMA (one window is a noisy sample of the workload); if
@@ -344,8 +330,6 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // Moves sensor `g`'s lane to its acting owner's at the current barrier (control
   // context): timers re-bind cooperatively, pending network events hand over.
   void RebindSensorLane(int global_index, int acting);
-  // Re-derives the lookahead bound from the live topology (auto_epoch only).
-  void RetuneEpoch();
 
   DeploymentConfig config_;
   Simulator sim_;

@@ -27,18 +27,24 @@
 //    to the barrier, exactly the rule the intra-cell lane mailboxes follow, so
 //    inter-cell delivery granularity is the federation epoch.
 //
+//  - One cell side for every mode: a CellHost (src/core/cell_host.h) owns the
+//    Deployment + FedCell pairs and runs every cell-side op. The Federation is
+//    always the orchestrator: it routes mail at barriers, tracks cell-down flags and
+//    folds telemetry, and reaches its cells only through CellHostHandle — one
+//    in-process CellHost hosting every cell, or one RemoteCellHost per worker.
+//
 //  - Cell-parallel stepping (FederationConfig::cell_threads > 1): within each
-//    federation epoch the cells themselves run concurrently, claimed off a shared
-//    counter by a persistent pool of host threads. Safe without locks because every
-//    mutable structure (outbox, trunk row, pending table, counters) belongs to
-//    exactly one cell and is only touched from that cell's serial control lane;
+//    federation epoch the cells themselves run concurrently on the CellHost's
+//    WorkerPool. Safe without locks because every mutable structure (outbox,
+//    trunk row, pending table, counters) belongs to exactly one cell and is only
+//    touched from that cell's serial control lane;
 //    barrier-time work (mail drain, kills, driver starts) stays on the serial
 //    control step between epochs.
 //
 //  - Cells as processes (FederationConfig::cell_processes > 1): the same seam,
-//    moved across a process boundary. The parent becomes a pure orchestrator — it
-//    owns no Deployments — and forks one worker (tools/presto_cell) per process
-//    slot; cell c lives in worker c % cell_processes. Every boundary crossing is a
+//    moved across a process boundary. The parent owns no Deployments and forks one
+//    worker (tools/presto_cell, running the same CellHost) per process slot; cell c
+//    lives in worker c % cell_processes. Every boundary crossing is a
 //    versioned wire frame (src/net/fed_wire.h) on a socketpair: bootstrap, barrier
 //    stepping (kStep carries the epoch window plus that barrier's FedMail
 //    deliveries; the reply returns the mail the epoch generated), control messages
@@ -67,14 +73,11 @@
 #ifndef SRC_CORE_FEDERATION_H_
 #define SRC_CORE_FEDERATION_H_
 
-#include <array>
-#include <atomic>
-#include <condition_variable>
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -91,14 +94,12 @@ namespace presto {
 
 // Federation kQuery payload.a op codes (payload.b carries the query id, and
 // payload.bytes the serialized QuerySpec / UnifiedQueryResult). Shared by the
-// in-process outboxes, the wire frames, and the checkpoint — one mail format.
+// cell outboxes, the wire frames, and the checkpoint — one mail format.
 inline constexpr uint64_t kFedOpExecute = 1;   // request landed at the target cell
 inline constexpr uint64_t kFedOpComplete = 2;  // response landed back at the origin
 
 // Per-cell deployment seed derived from the federation seed: cells are
 // statistically independent but the whole federation replays from one number.
-// Shared by the in-process constructor and presto_cell workers — the two paths
-// must agree or fingerprints diverge across modes.
 inline uint64_t FederationCellSeed(uint64_t fed_seed, int cell) {
   return fed_seed ^ (0xfedc0de + 0x9e3779b9ull * static_cast<uint64_t>(cell));
 }
@@ -138,12 +139,12 @@ struct FederationConfig {
   // but the whole federation replays from one number.
   DeploymentConfig cell;
   // Federation barrier grid: inter-cell delivery granularity. Must cover the cells'
-  // configured lane epoch cap (checked) — a trunk cannot deliver *finer* than its
+  // lane epoch (checked) — a trunk cannot deliver *finer* than its
   // endpoints step. Cells without a lane grid (legacy single-queue engine) report
   // Simulator::kNoEpochGrid and impose no constraint.
   Duration epoch = Seconds(1);
   // Derive the federation epoch from the topology instead of trusting `epoch`
-  // verbatim: epoch = clamp(trunk latency, [cell epoch cap, epoch]). Stepping no
+  // verbatim: epoch = clamp(trunk latency, [cell lane epoch, epoch]). Stepping no
   // coarser than the trunk keeps the barrier clamp from ever binding, so
   // cross-cell completion times are faithful to trunk latency rather than
   // quantized to federation barrier multiples. `epoch` stays the ceiling; the
@@ -242,25 +243,23 @@ void CkptWrite(ByteWriter& w, const FederationTrunkTotals& v);
 Status CkptRead(ByteReader& r, FederationTrunkTotals& v);
 
 // The per-cell half of the federation router (see file header). One FedCell per
-// cell, living wherever its Deployment lives — the Federation in-process, a
-// presto_cell worker in process mode. All methods run on the cell's serial control
+// cell, paired with its Deployment inside a CellHost — in this process or in a
+// presto_cell worker. All methods run on the cell's serial control
 // lane or in host/worker control context between steps; nothing here locks.
 class FedCell : public EventSink, public FederationQueryClient {
  public:
-  // Completion target of a pending query: a serializable driver tag, a host-side
-  // closure (in-process QueryAndWait — never checkpointable in flight), or a
-  // host-probe token (process-mode QueryAndWait — the result rides back to the
-  // parent in the next reply's host_done list).
-  enum class Origin : uint8_t { kClosure = 0, kDriver = 1, kHost = 2 };
+  // Completion target of a pending query: a serializable driver tag, or a
+  // host-probe token (QueryAndWait — the result rides back to the orchestrator in
+  // the next reply's host_done list; never checkpointable in flight).
+  enum class Origin : uint8_t { kDriver = 1, kHost = 2 };
 
   struct Pending {
     QuerySpec spec;  // target-cell-local spec
     FederationQueryResult result;
-    Origin origin = Origin::kClosure;
+    Origin origin = Origin::kDriver;
     uint64_t driver_slot = 0;  // kDriver: index into this cell's drivers
     bool past = false;         // kDriver: query class for the recorded outcome
-    uint64_t host_token = 0;   // kHost: parent-side correlation token
-    std::function<void(const FederationQueryResult&)> callback;  // kClosure
+    uint64_t host_token = 0;   // kHost: orchestrator-side correlation token
   };
 
   struct HostDone {
@@ -313,11 +312,16 @@ class FedCell : public EventSink, public FederationQueryClient {
   // Barrier-time mail delivery: schedules the typed kQuery event on this cell's
   // control lane at max(mail.time, barrier) — the barrier clamp.
   void DeliverMail(FedMail mail, SimTime barrier);
-  std::vector<FedMail> TakeOutbox();
-  std::vector<HostDone> TakeHostDone();
-  const std::vector<FedMail>& outbox() const { return outbox_; }
-  // Checkpoint restore: re-queues undrained mail this cell had generated.
-  void RestoreMail(FedMail mail) { outbox_.push_back(std::move(mail)); }
+  // Move the undrained mail / host-probe completions onto the end of `out`
+  // (inline: the in-process host drains every cell at every barrier).
+  void TakeOutbox(std::vector<FedMail>* out) {
+    std::move(outbox_.begin(), outbox_.end(), std::back_inserter(*out));
+    outbox_.clear();
+  }
+  void TakeHostDone(std::vector<HostDone>* out) {
+    std::move(host_done_.begin(), host_done_.end(), std::back_inserter(*out));
+    host_done_.clear();
+  }
 
   CellLink& link_out(int dst) { return *links_out_[static_cast<size_t>(dst)]; }
   const CellLink& link_out(int dst) const {
@@ -339,8 +343,8 @@ class FedCell : public EventSink, public FederationQueryClient {
   void OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& result) override;
 
   // Checkpoint codec for the "cell<i>/fed" section: counters, outgoing trunk row,
-  // pending table (ascending qid; driver-form only — closure and host-probe
-  // entries cannot cross a checkpoint), and attached driver state. The outbox is
+  // pending table (ascending qid; driver-form only — host-probe entries cannot
+  // cross a checkpoint), and attached driver state. The outbox is
   // *not* here: undrained mail belongs to the orchestrator's "fed" section, which
   // is what makes in-process and multi-process checkpoints byte-identical.
   Status SaveState(ByteWriter& w) const;
@@ -403,13 +407,10 @@ std::vector<uint8_t> EncodeFedControlReply(
 Status DecodeFedControlReply(span<const uint8_t> payload, std::vector<FedMail>* mail,
                              std::vector<FedCell::HostDone>* host_done);
 
-// Saves/loads one cell — the deployment's own sections plus the "cell<i>/fed"
-// router section, all under the "cell<i>/" prefix. Shared by the in-process
-// federation and presto_cell workers, which is what makes checkpoint bytes
-// mode-independent (the live-migration contract). Load restores the router first
-// so the simulator (loaded last) re-announces into rebuilt tables.
-Status SaveCellCheckpoint(const Deployment& cell, const FedCell& core, Checkpoint* out);
-Status LoadCellCheckpoint(Deployment& cell, FedCell& core, const Checkpoint& ckpt);
+class CellHost;
+class CellHostHandle;
+class RemoteCellHost;
+struct CellHostReply;
 
 class Federation {
  public:
@@ -425,10 +426,7 @@ class Federation {
   // barriers. Mail drain and everything else at the barrier stays serial.
   void RunUntil(SimTime t);
 
-  // Effective parallelism (config clamped to the cell count).
-  int cell_threads() const { return cell_threads_; }
-  int cell_processes() const { return cell_processes_; }
-  bool socket_mode() const { return socket_mode_; }
+  // Whether the cells live in presto_cell workers (forked or over TCP).
   bool process_mode() const { return cell_processes_ > 1 || socket_mode_; }
 
   SimTime Now() const { return now_; }
@@ -442,9 +440,6 @@ class Federation {
   // Attaches a driver and returns it by reference. Prefer the mode-independent
   // AttachDriver/DriverStats pair in code that must also run multi-process.
   QueryDriver& AttachQueryDriver(int origin_cell, const QueryDriverParams& params);
-  // Issues with a host-side completion closure (in-process QueryAndWait form).
-  void IssueFromCell(int origin_cell, const FederationQuerySpec& spec,
-                     std::function<void(const FederationQueryResult&)> callback);
 
   // --- mode-independent facade ---
   // Attaches an open-loop in-sim query driver whose queries enter at `origin_cell`
@@ -459,8 +454,8 @@ class Federation {
   int num_drivers() const { return static_cast<int>(driver_map_.size()); }
 
   // Issues and runs the federation until the answer arrives (or `max_wait`
-  // passes). In process mode the probe rides a kInject frame to the origin worker
-  // and the result returns in a reply's host_done fold.
+  // passes). The probe is injected at the origin cell's host and its result
+  // returns in a reply's host_done fold.
   FederationQueryResult QueryAndWait(int origin_cell, const FederationQuerySpec& spec,
                                      Duration max_wait = Minutes(30));
 
@@ -504,12 +499,12 @@ class Federation {
   // is marked dead (contained cell failure) and the error returned.
   Status MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint);
 
-  // --- process-mode test/telemetry hooks ---
-  int num_workers() const { return static_cast<int>(workers_.size()); }
-  bool worker_alive(int w) const { return workers_[static_cast<size_t>(w)].alive; }
-  int worker_pid(int w) const {
-    return static_cast<int>(workers_[static_cast<size_t>(w)].pid);
+  // --- process-mode test/telemetry hooks (no workers in-process) ---
+  int num_workers() const {
+    return local_ != nullptr ? 0 : static_cast<int>(hosts_.size());
   }
+  bool worker_alive(int w) const { return hosts_[static_cast<size_t>(w)].alive; }
+  int worker_pid(int w) const;
 
   // Composes every cell's checkpoint (sections prefixed "cell<i>/", including the
   // per-cell federation router state "cell<i>/fed") plus one "fed" section holding
@@ -528,75 +523,67 @@ class Federation {
   Status LoadCheckpoint(const Checkpoint& ckpt);
 
  private:
-  struct WorkerProc {
-    long pid = -1;
-    std::unique_ptr<FrameChannel> channel;
+  // One cell host: the in-process CellHost (every cell), or a presto_cell worker
+  // reached through a RemoteCellHost.
+  struct Host {
+    std::unique_ptr<CellHostHandle> handle;
     std::vector<int> cells;  // global cell indices, ascending
-    bool alive = false;
+    bool alive = true;
   };
+  using HostOp = std::function<Status(CellHostHandle&)>;
 
-  Duration CellEpochCap() const;
+  Duration CellLaneEpoch() const;
   Duration DeriveEpoch() const;
-  void DrainMail();
-  void StepCells(SimTime end);
-  void CellWorkerLoop();
-  void ClaimCells(SimTime end);
 
-  int WorkerOf(int cell_index) const { return cell_index % cell_processes_; }
-  void AssignWorkerCells();
+  int HostOf(int cell_index) const { return cell_index % cell_processes_; }
+  RemoteCellHost& Remote(int w);
+  void AssignHostCells();
   void SpawnWorkers();
   void ConnectWorkers();
   // Connect + hello handshake for one socket worker (channel setup only).
   Status ConnectWorkerChannel(int w, const FedEndpoint& endpoint);
   Status BootstrapWorker(int w);
-  // Re-sends kAttachDriver for every driver whose origin cell worker w hosts
+  // Re-sends the attachment of every driver whose origin cell worker w hosts
   // (migration replay; slots must match the original attachment order).
   Status ReplayDriverAttachments(int w);
-  // Sends one worker the full checkpoint container + down flags (kCkptLoad).
-  Status LoadWorkerCheckpoint(int w, const std::vector<uint8_t>& encoded);
-  // One strict RPC round trip. A transport failure marks the worker dead (never
-  // aborts the parent) and returns the transport status; the reply frame — kAck
-  // or kError — is the caller's to interpret.
-  Status CallWorker(int w, FedFrameType type, std::vector<uint8_t> payload,
-                    FedFrame* reply);
-  // CallWorker for control ops: requires kAck, absorbs the control reply into
-  // route_ / host_results_, and marks the worker dead on any deviation.
-  bool ControlCall(int w, FedFrameType type, std::vector<uint8_t> payload);
-  // Parses a control reply {mail, host_done} into route_ / host_results_.
-  Status AbsorbControlReply(const std::vector<uint8_t>& payload);
-  void BroadcastControl(FedFrameType type, const std::vector<uint8_t>& payload);
-  void StepWorkers(SimTime end, bool on_grid);
+  // Runs one op on host h and routes the mail and host-probe completions it
+  // generated. A failing worker has already been marked dead (returns false); the
+  // in-process host fails only on a caller's bad argument, which aborts.
+  bool Control(int h, const HostOp& op);
+  void Route(CellHostReply* reply);
+  void BroadcastControl(const HostOp& op);
+  void StepHosts(SimTime end, bool on_grid);
   // Local bookkeeping only (kill + reap + mark cells down + drop routed mail):
-  // never sends frames, so it is safe while sibling kStep replies are still
-  // outstanding. The survivor-facing kKillCell broadcast is deferred into
+  // never sends frames, so it is safe while sibling step replies are still
+  // outstanding. The survivor-facing KillCell broadcast is deferred into
   // dead_cells_pending_kill_ and flushed once no reply is pending.
   void MarkWorkerDead(int w);
   void FlushDeadCellKills();
-  void ShutdownWorkers();
   void RefreshSnapshots() const;
 
   FederationConfig config_;
   CellDirectory directory_;
-  int cell_threads_ = 1;
-  int cell_processes_ = 1;
+  int cell_processes_ = 1;  // hosts: clamped to the cell count
   bool socket_mode_ = false;
 
-  // In-process mode: the cells and their routers, paired in cell-index order.
-  std::vector<std::unique_ptr<Deployment>> cells_;
-  std::vector<std::unique_ptr<FedCell>> cores_;
-
-  // Process mode: worker table, parent-side mail routing (per source-cell FIFO,
-  // the orchestrator's copy of the outboxes), and host-probe correlation.
-  std::vector<WorkerProc> workers_;
-  std::vector<std::vector<FedMail>> route_;  // [source cell] FIFO
+  // In-process: one CellHost hosting every cell (local_ points at it). Process
+  // mode: one RemoteCellHost per worker, cell c on host c % cell_processes.
+  std::vector<Host> hosts_;
+  CellHost* local_ = nullptr;
+  // Orchestrator-side mail routing (per source-cell FIFO, drained at barriers)
+  // and host-probe correlation.
+  std::vector<std::vector<FedMail>> route_;
+  std::vector<std::vector<FedMail>> deliver_;  // [host] this barrier's mail, reused
   uint64_t next_host_token_ = 0;
   std::unordered_map<uint64_t, FederationQueryResult> host_results_;
-  uint64_t parent_orphans_ = 0;  // mail dropped toward crashed workers' cells
+  // Mail dropped at barriers: from a downed source cell, or toward a crashed
+  // worker's cells.
+  uint64_t orphans_ = 0;
   std::vector<int> dead_cells_pending_kill_;
   mutable std::vector<FedCellSnapshot> snaps_;
   mutable bool snaps_fresh_ = false;
 
-  std::vector<uint8_t> cell_down_;  // orchestrator view (both modes)
+  std::vector<uint8_t> cell_down_;  // orchestrator view
   // Global driver index -> (origin cell, per-cell slot).
   std::vector<std::pair<int, int>> driver_map_;
   // The raw params of each AttachDriver call, in driver-index order — replayed
@@ -606,18 +593,6 @@ class Federation {
   SimTime now_ = 0;
   uint64_t barrier_hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
   FederationStats serial_stats_;                   // barriers / mail_drained only
-
-  // Cell-stepping pool (cell_threads_ > 1): the simulator's lane pool one level
-  // up. Workers claim cells off next_cell_ and run each through [now_, pool_end_].
-  std::vector<std::thread> cell_workers_;
-  std::mutex pool_m_;
-  std::condition_variable pool_cv_;
-  std::condition_variable done_cv_;
-  uint64_t pool_gen_ = 0;
-  SimTime pool_end_ = 0;
-  bool pool_quit_ = false;
-  int pool_done_ = 0;
-  std::atomic<int> next_cell_{0};
 };
 
 }  // namespace presto

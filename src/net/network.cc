@@ -74,7 +74,6 @@ void Network::SetNodeLane(NodeId id, int lane) {
   PRESTO_CHECK(lane == Simulator::kLaneControl ||
                (lane >= 0 && lane < sim_->num_lanes()));
   GetNode(id).lane = lane;
-  min_wired_dirty_ = true;
 }
 
 int Network::NodeLane(NodeId id) const { return GetNode(id).lane; }
@@ -90,7 +89,6 @@ void Network::RebindNodeLane(NodeId id, int new_lane) {
     return;
   }
   node.lane = new_lane;
-  min_wired_dirty_ = true;
   if (old_lane < 0 || new_lane < 0) {
     return;  // control-lane nodes have no per-lane pending state to hand over
   }
@@ -128,33 +126,6 @@ void Network::RebindNodeLane(NodeId id, int new_lane) {
 
 void Network::ConnectWired(NodeId a, NodeId b, Duration latency) {
   wired_[OrderedPair(a, b)] = latency >= 0 ? latency : params_.wired_latency;
-  min_wired_dirty_ = true;
-}
-
-Duration Network::MinCrossLaneWiredLatency() const {
-  if (!min_wired_dirty_) {
-    return min_cross_lane_wired_;
-  }
-  Duration best = -1;
-  for (const auto& [pair, latency] : wired_) {
-    const auto a = nodes_.find(pair.first);
-    const auto b = nodes_.find(pair.second);
-    if (a == nodes_.end() || b == nodes_.end()) {
-      continue;  // link declared before both endpoints attached
-    }
-    if (a->second.down || b->second.down) {
-      continue;
-    }
-    if (a->second.lane == b->second.lane) {
-      continue;
-    }
-    if (best < 0 || latency < best) {
-      best = latency;
-    }
-  }
-  min_cross_lane_wired_ = best;
-  min_wired_dirty_ = false;
-  return best;
 }
 
 void Network::SetLinkLoss(NodeId a, NodeId b, double per_frame_loss) {
@@ -172,7 +143,6 @@ void Network::SetNodeDown(NodeId id, bool down) {
     ChargeIdle(node);
   }
   node.down = down;
-  min_wired_dirty_ = true;
   if (down) {
     // Abandon coalescing batches this node is an endpoint of, in every lane context:
     // a dead node's queued epoch traffic must not fire its flush later (inflating
@@ -722,7 +692,6 @@ Status Network::LoadState(ByteReader& r) {
       ctx.batches.emplace(pair, std::move(batch));
     }
   }
-  min_wired_dirty_ = true;
   return OkStatus();
 }
 

@@ -138,15 +138,6 @@ class Network : public EventSink {
   // `latency` propagation delay (< 0: the params_.wired_latency default).
   void ConnectWired(NodeId a, NodeId b, Duration latency = -1);
 
-  // Minimum propagation latency over wired links whose live endpoints sit in
-  // different lanes, or -1 when no such link exists (legacy mode, all-intra-lane
-  // topologies). This is the conservative lookahead bound for the wired mesh: with
-  // sim epoch <= this, a barrier always lands between a cross-lane wired send and
-  // its delivery, so the mailbox clamp never defers it (sub-epoch latency stays
-  // faithful). Recomputed lazily; mutations (kill/revive/lane re-bind/link change)
-  // invalidate the cache. Control context only.
-  Duration MinCrossLaneWiredLatency() const;
-
   // Sets the symmetric per-frame loss probability between two nodes.
   void SetLinkLoss(NodeId a, NodeId b, double per_frame_loss);
 
@@ -268,8 +259,6 @@ class Network : public EventSink {
   std::map<NodeId, NodeState> nodes_;
   std::map<std::pair<NodeId, NodeId>, double> link_loss_;
   std::map<std::pair<NodeId, NodeId>, Duration> wired_;  // pair -> propagation latency
-  mutable Duration min_cross_lane_wired_ = -1;
-  mutable bool min_wired_dirty_ = true;
   mutable NetStats stats_agg_;  // materialized by stats()
 };
 

@@ -38,18 +38,16 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
+#include "src/util/worker_pool.h"
 
 namespace presto {
 
@@ -137,7 +135,7 @@ class Simulator {
   static constexpr int kLaneCurrent = -2;  // the scheduling context's own lane
   static constexpr int kLaneControl = -1;  // serial barrier lane
 
-  // Sentinel returned by epoch() / epoch_cap() when no lane grid is configured
+  // Sentinel returned by epoch() when no lane grid is configured
   // (legacy mode). Layers that validate a stacked barrier schedule against the cell
   // grid must treat this value explicitly ("no grid" — not "grid of length zero"):
   // an unconfigured cell imposes no epoch constraint, and arithmetic on the grid
@@ -148,7 +146,6 @@ class Simulator {
   Simulator() { lanes_.resize(1); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   // Splits execution into `num_lanes` parallel lanes plus the serial control lane,
   // run by `threads` workers (clamped to [1, num_lanes]; the calling thread is one of
@@ -159,27 +156,10 @@ class Simulator {
   // Worker lanes configured (0 in legacy mode).
   int num_lanes() const { return lane_mode_ ? static_cast<int>(lanes_.size()) - 1 : 0; }
   int threads() const { return threads_; }
-  // The *current* epoch-barrier grid length (kNoEpochGrid in legacy mode). With a
-  // lookahead bound applied this can be smaller than the configured cap and can
-  // change at barriers; layers that stack their own barrier schedule on top (the
-  // federation) must validate against epoch_cap(), which is stable for the run.
+  // The epoch-barrier grid length passed to ConfigureLanes, fixed for the run
+  // (kNoEpochGrid in legacy mode). Layers that stack their own barrier schedule on
+  // top (the federation) validate against it.
   Duration epoch() const { return lane_mode_ ? epoch_ : kNoEpochGrid; }
-  // The epoch passed to ConfigureLanes — the upper bound SetLookahead can never
-  // exceed (kNoEpochGrid in legacy mode).
-  Duration epoch_cap() const { return lane_mode_ ? epoch_cap_ : kNoEpochGrid; }
-  // The lookahead bound currently applied (0 = none; the configured cap rules).
-  Duration lookahead() const { return lookahead_; }
-
-  // Conservative-lookahead mode: bounds the epoch so cross-lane deliveries (which
-  // clamp to the next barrier) are never deferred past `lookahead` — with
-  // `lookahead` <= the minimum cross-lane wired latency, clamped arrival times
-  // equal true arrival times and sub-epoch latencies become faithful. The engine
-  // picks epoch = min(epoch_cap, lookahead) and re-anchors the absolute grid at the
-  // current barrier; lookahead = 0 clears the bound (epoch returns to the cap).
-  // Control context only (between runs or at a barrier, on the control lane), lane
-  // mode only. Deterministic: the call sites are themselves control-lane events, so
-  // the epoch-length schedule replays identically across worker counts.
-  void SetLookahead(Duration lookahead);
 
   // Barrier-time lane re-binding: moves every *live* pending event and undrained
   // mailbox entry of `from_lane` that `match`es to `to_lane`, preserving delivery
@@ -269,7 +249,7 @@ class Simulator {
   Status SaveState(ByteWriter& w) const;
 
   // Restores state saved by SaveState into a freshly constructed, identically
-  // configured simulator: same lane count and epoch cap — the thread count may
+  // configured simulator: same lane count and epoch — the thread count may
   // differ (replay is thread-count independent). Existing queues are discarded;
   // events re-enter their pools with their original (time, seq) keys and each is
   // announced via OnEventRestored. Call after every subsystem's own LoadState, so
@@ -337,24 +317,13 @@ class Simulator {
   // execute the worker lanes through the epoch, then run due control-lane events at
   // the closing barrier (with the global clock at `end` and every worker idle).
   void RunEpoch(SimTime end, bool inclusive);
-  void RunLanesParallel(SimTime end, bool inclusive);
-  void WorkerLoop();
-  void ClaimLanes(SimTime end, bool inclusive);
   void MixFp(uint64_t& fp, uint64_t v) const;
-  // First barrier strictly after `t` on the current grid. The grid is anchored at
-  // the barrier where the epoch length last changed (epoch_anchor_, 0 until a
-  // SetLookahead retune), so shrinking or restoring the epoch mid-run keeps every
-  // subsequent barrier an exact multiple away from a past barrier.
-  SimTime GridEnd(SimTime t) const {
-    return epoch_anchor_ + ((t - epoch_anchor_) / epoch_ + 1) * epoch_;
-  }
+  // First barrier strictly after `t` on the absolute grid.
+  SimTime GridEnd(SimTime t) const { return (t / epoch_ + 1) * epoch_; }
 
   bool lane_mode_ = false;
   int threads_ = 1;
-  Duration epoch_ = 0;      // current effective epoch (<= epoch_cap_)
-  Duration epoch_cap_ = 0;  // the ConfigureLanes epoch
-  Duration lookahead_ = 0;  // 0 = no lookahead bound
-  SimTime epoch_anchor_ = 0;
+  Duration epoch_ = 0;
   SimTime global_now_ = 0;
   uint64_t barrier_hash_ = 0xcbf29ce484222325ull;
   bool any_scheduled_ = false;
@@ -362,18 +331,7 @@ class Simulator {
   std::function<void(SimTime)> barrier_hook_;
   std::vector<EventSink*> sinks_;  // checkpoint sink table, construction order
   std::map<const EventSink*, uint64_t> sink_ids_;
-
-  // Worker pool (lane mode, threads_ > 1).
-  std::vector<std::thread> workers_;
-  std::mutex pool_m_;
-  std::condition_variable pool_cv_;
-  std::condition_variable done_cv_;
-  uint64_t pool_gen_ = 0;
-  SimTime pool_end_ = 0;
-  bool pool_inclusive_ = false;
-  bool pool_quit_ = false;
-  int pool_done_ = 0;
-  std::atomic<int> next_lane_{0};
+  std::unique_ptr<WorkerPool> pool_;  // runs the worker lanes (lane mode)
 };
 
 }  // namespace presto

@@ -377,8 +377,9 @@ class Checkpoint {
   // compat rule is "same version or re-simulate" — checkpoints are replay artifacts,
   // not archival data, so no cross-version migration is attempted. v2: the
   // federation "fed" section moved to the process-seam layout (per-cell FedCell
-  // blobs under "cell<i>/fed", payload-carrying trunk mail, cell-down bitmap).
-  static constexpr uint32_t kVersion = 2;
+  // blobs under "cell<i>/fed", payload-carrying trunk mail, cell-down bitmap). v3:
+  // the "sim" section lost the lookahead fields (epoch cap, lookahead, grid anchor).
+  static constexpr uint32_t kVersion = 3;
 
   // Appends (or replaces) a named section.
   void Add(const std::string& name, std::vector<uint8_t> payload);

@@ -353,5 +353,46 @@ TEST(FederationCheckpointTest, RoundTripCarriesInFlightCrossCellQueries) {
   }
 }
 
+TEST(FederationCheckpointTest, RoundTripCarriesTheOrphanCountAcrossACellKill) {
+  // A killed cell keeps stepping and its gateway keeps forwarding, so its late
+  // mail is dropped — and counted — at every barrier, before and after the save.
+  // The restored run must resume that count, not restart it from zero.
+  const SimTime ckpt_at = Minutes(6);
+  const SimTime end = Minutes(10);
+  Checkpoint ckpt;
+  uint64_t orphans_at_save = 0;
+  uint64_t orphans_cont = 0;
+  uint64_t fp_cont = 0;
+  {
+    Federation fed(CkptFederationConfig());
+    fed.Start();
+    std::vector<QueryDriver*> drivers = AttachFedDrivers(fed);
+    fed.RunUntil(Minutes(5));
+    for (QueryDriver* driver : drivers) {
+      driver->Start(0);
+    }
+    fed.RunUntil(Minutes(5) + Seconds(30));
+    fed.KillCell(1);
+    fed.RunUntil(ckpt_at);
+    ASSERT_TRUE(fed.SaveCheckpoint(&ckpt).ok());
+    orphans_at_save = fed.stats().orphans;
+    fed.RunUntil(end);
+    orphans_cont = fed.stats().orphans;
+    fp_cont = fed.fingerprint();
+  }
+  ASSERT_GT(orphans_at_save, 0u) << "no orphans before the save: the test is vacuous";
+  ASSERT_GT(orphans_cont, orphans_at_save);
+  {
+    Federation fed(CkptFederationConfig());
+    fed.Start();
+    AttachFedDrivers(fed);
+    ASSERT_TRUE(fed.LoadCheckpoint(ckpt).ok());
+    EXPECT_EQ(fed.stats().orphans, orphans_at_save);
+    fed.RunUntil(end);
+    EXPECT_EQ(fed.fingerprint(), fp_cont);
+    EXPECT_EQ(fed.stats().orphans, orphans_cont);
+  }
+}
+
 }  // namespace
 }  // namespace presto

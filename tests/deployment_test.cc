@@ -985,50 +985,35 @@ TEST(LaneEngineDeploymentTest, DigestIdenticalAcrossWorkerCounts) {
 // ---------- barrier-time lane re-binding on migration ----------
 
 TEST(LaneEngineDeploymentTest, MigrationRebindsSensorLaneAndDropsCrossLaneSends) {
-  auto run = [](bool rebind, int* lane_after, uint64_t* cross_after) {
-    DeploymentConfig config;
-    config.num_proxies = 2;
-    config.sensors_per_proxy = 4;
-    config.lane_engine = true;
-    config.sim_threads = 2;
-    config.sim_epoch = Seconds(2);
-    config.lane_rebind = rebind;
-    config.seed = 353;
-    Deployment deployment(config);
-    deployment.Start();
-    deployment.RunUntil(Hours(2));
+  DeploymentConfig config;
+  config.num_proxies = 2;
+  config.sensors_per_proxy = 4;
+  config.lane_engine = true;
+  config.sim_threads = 2;
+  config.sim_epoch = Seconds(2);
+  config.seed = 353;
+  Deployment deployment(config);
+  deployment.Start();
+  deployment.RunUntil(Hours(2));
 
-    const int g = 1;  // geographic: owned by proxy 0, so home lane 0
-    const NodeId id = deployment.GlobalSensorId(g);
-    EXPECT_EQ(deployment.net().NodeLane(id), 0);
+  const int g = 1;  // geographic: owned by proxy 0, so home lane 0
+  const NodeId id = deployment.GlobalSensorId(g);
+  EXPECT_EQ(deployment.net().NodeLane(id), 0);
 
-    deployment.MigrateSensor(g, 1);
-    // Lane membership changes at the migration barrier; give it one epoch to land.
-    deployment.RunUntil(deployment.sim().Now() + config.sim_epoch);
-    *lane_after = deployment.net().NodeLane(id);
+  deployment.MigrateSensor(g, 1);
+  // Lane membership changes at the migration barrier; give it one epoch to land.
+  deployment.RunUntil(deployment.sim().Now() + config.sim_epoch);
+  EXPECT_EQ(deployment.net().NodeLane(id), 1)
+      << "migrated sensor must re-home to the new owner's lane";
 
-    // From here on, count the migrated sensor's cross-lane radio sends. Re-bound,
-    // its pushes execute in the acting owner's own lane (no LPL worst-case preamble
-    // tax); pinned to the stale home lane, every push stays cross-lane forever.
-    const uint64_t before = deployment.net().node_stats(id).cross_lane_sends;
-    deployment.RunUntil(deployment.sim().Now() + Hours(4));
-    *cross_after = deployment.net().node_stats(id).cross_lane_sends - before;
-    const uint64_t pushes = deployment.sensor(0, g).stats().pushes;
-    EXPECT_GT(pushes, 0u) << "scenario must actually exercise the push path";
-  };
-
-  int lane_rebound = -1;
-  int lane_pinned = -1;
-  uint64_t cross_rebound = 0;
-  uint64_t cross_pinned = 0;
-  run(/*rebind=*/true, &lane_rebound, &cross_rebound);
-  run(/*rebind=*/false, &lane_pinned, &cross_pinned);
-  EXPECT_EQ(lane_rebound, 1) << "migrated sensor must re-home to the new owner's lane";
-  EXPECT_EQ(lane_pinned, 0) << "with re-binding off, the PR-4 pinning must persist";
-  EXPECT_EQ(cross_rebound, 0u)
+  // From here on, count the migrated sensor's cross-lane radio sends. Re-bound,
+  // its pushes execute in the acting owner's own lane (no LPL preamble tax).
+  const uint64_t before = deployment.net().node_stats(id).cross_lane_sends;
+  deployment.RunUntil(deployment.sim().Now() + Hours(4));
+  EXPECT_EQ(deployment.net().node_stats(id).cross_lane_sends - before, 0u)
       << "after one epoch a re-bound sensor's sends must stay in-lane";
-  EXPECT_GT(cross_pinned, 0u)
-      << "the pinned baseline must show the cross-lane tax the re-bind removes";
+  EXPECT_GT(deployment.sensor(0, g).stats().pushes, 0u)
+      << "scenario must actually exercise the push path";
 }
 
 // ---------- archive-backed backfill on promotion ----------

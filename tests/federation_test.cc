@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/core/cell_worker.h"
@@ -153,7 +155,7 @@ TEST(FederationTest, AutoEpochDerivesFromTrunkLatencyAndCellCap) {
   config.cell.lane_engine = false;
   {
     Federation fed(config);
-    EXPECT_EQ(fed.cell(0).sim().epoch_cap(), Simulator::kNoEpochGrid);
+    EXPECT_EQ(fed.cell(0).sim().epoch(), Simulator::kNoEpochGrid);
     EXPECT_EQ(fed.config().epoch, Millis(250));
   }
 }
@@ -1132,6 +1134,65 @@ TEST(FederationSocketModeTest, LiveMigrationToAFreshEndpointReplays) {
   EXPECT_EQ(stayed.issued, moved.issued);
   EXPECT_EQ(stayed.completed, moved.completed);
   EXPECT_EQ(stayed.failed, moved.failed);
+}
+
+// ---------- worker bootstrap validation ----------
+
+TEST(CellWorkerTest, BootstrapRefusesConfigsACellWouldAbortOn) {
+  // A --listen worker accepts frames from any peer, so every config that
+  // Deployment::Build or Simulator::ConfigureLanes would abort on must come back
+  // as a kError reply — and leave the worker serving the same channel.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread worker_thread([fd = fds[1]] {
+    FrameChannel channel(fd);
+    CellWorker worker(&channel);
+    worker.Serve();
+  });
+  FrameChannel channel(fds[0]);
+  auto bootstrap = [&channel](const FederationConfig& config) {
+    ByteWriter payload;
+    const auto* raw = reinterpret_cast<const uint8_t*>(&config);
+    payload.WriteBytes(span<const uint8_t>(raw, sizeof(config)));
+    CkptWrite(payload, 0);  // host index
+    CkptWrite(payload, 1);  // host count
+    FedFrame frame;
+    frame.type = FedFrameType::kBootstrap;
+    frame.payload = payload.TakeBuffer();
+    return channel.Call(frame);
+  };
+  FederationConfig valid;
+  valid.num_cells = 2;
+  valid.cell.num_proxies = 2;
+  valid.cell.sensors_per_proxy = 2;
+
+  std::vector<FederationConfig> bad(4, valid);
+  bad[0].cell.sensors_per_proxy = 1000;  // naming grid caps shards at 999
+  bad[1].cell.replication_factor = 0;
+  bad[2].cell.lane_engine = true;  // lanes need a positive epoch
+  bad[2].cell.sim_epoch = 0;
+  bad[3].num_cells = 1 << 16;  // 2^16 cells x 2^12 proxies x 999 sensors > 2^31
+  bad[3].cell.num_proxies = 1 << 12;
+  bad[3].cell.sensors_per_proxy = 999;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto reply = bootstrap(bad[i]);
+    ASSERT_TRUE(reply.ok()) << "config " << i << " killed the worker";
+    ASSERT_EQ(reply->type, FedFrameType::kError) << "config " << i;
+    ByteReader r{span<const uint8_t>(reply->payload)};
+    Status refusal = OkStatus();
+    ASSERT_TRUE(CkptRead(r, refusal).ok());
+    EXPECT_EQ(refusal.code(), StatusCode::kInvalidArgument) << "config " << i;
+  }
+  auto accepted = bootstrap(valid);
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_EQ(accepted->type, FedFrameType::kAck);
+
+  FedFrame bye;
+  bye.type = FedFrameType::kShutdown;
+  auto closed = channel.Call(bye);
+  ASSERT_TRUE(closed.ok());
+  EXPECT_EQ(closed->type, FedFrameType::kAck);
+  worker_thread.join();
 }
 
 }  // namespace

@@ -283,32 +283,6 @@ TEST(LaneEngineTest, LegacyModeReportsNoEpochGrid) {
   // layers treat kNoEpochGrid as "no constraint").
   Simulator sim;
   EXPECT_EQ(sim.epoch(), Simulator::kNoEpochGrid);
-  EXPECT_EQ(sim.epoch_cap(), Simulator::kNoEpochGrid);
-}
-
-TEST(LaneEngineTest, LookaheadShrinksTheEffectiveEpoch) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 2, Millis(100));
-  EXPECT_EQ(sim.epoch(), Millis(100));
-  EXPECT_EQ(sim.epoch_cap(), Millis(100));
-  sim.SetLookahead(Millis(30));
-  EXPECT_EQ(sim.epoch(), Millis(30));
-  EXPECT_EQ(sim.epoch_cap(), Millis(100)) << "the configured cap never moves";
-  // Cross-lane mail now clamps to the finer grid: posted at 6 ms, delivered at the
-  // 30 ms barrier instead of 100 ms.
-  auto log = std::make_shared<std::vector<SimTime>>();
-  sim.ScheduleAt(Millis(5), [&sim, log] {
-    sim.ScheduleIn(Millis(1), [log, &sim] { log->push_back(sim.Now()); }, 1);
-  }, 0);
-  sim.RunUntil(Millis(200));
-  ASSERT_EQ(log->size(), 1u);
-  EXPECT_EQ((*log)[0], Millis(30));
-  // A lookahead above the cap clamps to it; clearing (0) restores the cap too.
-  sim.SetLookahead(Seconds(5));
-  EXPECT_EQ(sim.epoch(), Millis(100));
-  sim.SetLookahead(0);
-  EXPECT_EQ(sim.epoch(), Millis(100));
-  EXPECT_EQ(sim.lookahead(), 0);
 }
 
 TEST(LaneEngineTest, TimersFireInBoundLanes) {
