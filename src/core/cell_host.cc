@@ -1,7 +1,10 @@
 #include "src/core/cell_host.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <climits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -40,6 +43,28 @@ Result<std::unique_ptr<CellHost>> CellHost::Create(const FederationConfig& confi
   const int64_t per_cell = int64_t{cell.num_proxies} * cell.sensors_per_proxy;
   if (per_cell > INT_MAX || per_cell * config.num_cells > INT_MAX) {
     return InvalidArgumentError("cell_host: federation population overflows int");
+  }
+  const FlashParams& flash = cell.flash;
+  if (flash.page_size_bytes < 1 || flash.pages_per_block < 1 || flash.num_blocks < 1 ||
+      int64_t{flash.pages_per_block} * flash.num_blocks > INT_MAX) {
+    return InvalidArgumentError("cell_host: flash geometry must be positive and fit int");
+  }
+  // What this host would allocate up front: every hosted sensor's flash image
+  // (allocated eagerly) plus each hosted cell's trunk row. Doubles, so the
+  // product cannot overflow; a config past physical memory is refused, not built.
+  const double hosted_cells = static_cast<double>(
+      (int64_t{config.num_cells} - host_index + num_hosts - 1) / num_hosts);
+  const double flash_bytes = static_cast<double>(flash.page_size_bytes) *
+                             flash.pages_per_block * flash.num_blocks;
+  const double trunk_row_bytes =
+      static_cast<double>(config.num_cells) *
+      (sizeof(CellLink) + sizeof(std::unique_ptr<CellLink>));
+  const double upfront =
+      hosted_cells * (static_cast<double>(per_cell) * flash_bytes + trunk_row_bytes);
+  const double physical = static_cast<double>(::sysconf(_SC_PHYS_PAGES)) *
+                          static_cast<double>(::sysconf(_SC_PAGESIZE));
+  if (upfront > physical) {
+    return InvalidArgumentError("cell_host: cells exceed the host's physical memory");
   }
   return std::unique_ptr<CellHost>(new CellHost(config, host_index, num_hosts));
 }
@@ -238,9 +263,9 @@ Status CellHost::SaveCheckpoint(Checkpoint* out) {
     // The deployment's own sections plus the "cell<i>/fed" router section.
     const std::string prefix = CellPrefix(cores_[i]->index());
     PRESTO_RETURN_IF_ERROR(cells_[i]->SaveCheckpoint(out, prefix));
-    ByteWriter w;
-    PRESTO_RETURN_IF_ERROR(cores_[i]->SaveState(w));
-    out->Add(prefix + "fed", w.TakeBuffer());
+    CkptSectionsOut book(prefix);
+    book("fed", [&](CkptOut& io) { io(*cores_[i]); });
+    PRESTO_RETURN_IF_ERROR(book.Commit(out));
   }
   return OkStatus();
 }
@@ -256,17 +281,11 @@ Status CellHost::LoadCheckpoint(const Checkpoint& ckpt,
     std::vector<FedMail> stale;
     core.TakeOutbox(&stale);
     const std::string prefix = CellPrefix(core.index());
-    const std::vector<uint8_t>* payload = ckpt.Find(prefix + "fed");
-    if (payload == nullptr) {
-      return NotFoundError("checkpoint missing section " + prefix + "fed");
-    }
-    ByteReader r{span<const uint8_t>(*payload)};
     // Router first: the cell's simulator (loaded last inside LoadCheckpoint)
     // re-announces restored events into fully rebuilt tables.
-    PRESTO_RETURN_IF_ERROR(core.LoadState(r));
-    if (r.remaining() != 0) {
-      return DataLossError("checkpoint section " + prefix + "fed has trailing bytes");
-    }
+    CkptSectionsIn book(ckpt, prefix);
+    book("fed", [&](CkptIn& io) { io(core); });
+    PRESTO_RETURN_IF_ERROR(book.status());
     PRESTO_RETURN_IF_ERROR(cells_[i]->LoadCheckpoint(ckpt, prefix));
   }
   return OkStatus();

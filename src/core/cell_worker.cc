@@ -85,7 +85,8 @@ int CellWorker::Serve() {
 }
 
 Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
-  ByteReader r{span<const uint8_t>(request.payload)};
+  const span<const uint8_t> payload(request.payload);
+  ByteReader r{payload};
   if (request.type == FedFrameType::kBootstrap) {
     return Bootstrap(r);
   }
@@ -103,7 +104,7 @@ Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
       break;
     case FedFrameType::kAttachDriver: {
       QueryDriverParams params{};
-      CKPT_READ(r, cell);
+      PRESTO_RETURN_IF_ERROR(CkptRead(r, cell));
       PRESTO_RETURN_IF_ERROR(ReadRaw(r, &params));
       PRESTO_RETURN_IF_ERROR(AtEnd(r, "attach-driver"));
       auto slot = host.AttachDriver(cell, params);
@@ -118,37 +119,27 @@ Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
     case FedFrameType::kStartDriver: {
       int slot = 0;
       Duration duration = 0;
-      CKPT_READ(r, cell);
-      CKPT_READ(r, slot);
-      CKPT_READ(r, duration);
-      PRESTO_RETURN_IF_ERROR(AtEnd(r, "start-driver"));
+      PRESTO_RETURN_IF_ERROR(CkptReadAll(payload, cell, slot, duration));
       PRESTO_RETURN_IF_ERROR(host.StartDriver(cell, slot, duration));
       break;
     }
     case FedFrameType::kStep: {
       SimTime barrier = 0, end = 0;
       std::vector<FedMail> mail;
-      CKPT_READ(r, barrier);
-      CKPT_READ(r, end);
-      CKPT_READ(r, mail);
-      PRESTO_RETURN_IF_ERROR(AtEnd(r, "step"));
+      PRESTO_RETURN_IF_ERROR(CkptReadAll(payload, barrier, end, mail));
       PRESTO_RETURN_IF_ERROR(host.Step(barrier, end, std::move(mail)));
       break;
     }
     case FedFrameType::kInject: {
       uint64_t token = 0;
       FederationQuerySpec spec;
-      CKPT_READ(r, cell);
-      CKPT_READ(r, token);
-      CKPT_READ(r, spec);
-      PRESTO_RETURN_IF_ERROR(AtEnd(r, "inject"));
+      PRESTO_RETURN_IF_ERROR(CkptReadAll(payload, cell, token, spec));
       PRESTO_RETURN_IF_ERROR(host.Inject(cell, token, spec));
       break;
     }
     case FedFrameType::kKillCell:
     case FedFrameType::kReviveCell:
-      CKPT_READ(r, cell);
-      PRESTO_RETURN_IF_ERROR(AtEnd(r, "kill/revive-cell"));
+      PRESTO_RETURN_IF_ERROR(CkptReadAll(payload, cell));
       if (request.type == FedFrameType::kKillCell) {
         PRESTO_RETURN_IF_ERROR(host.KillCell(cell));
       } else {
@@ -158,28 +149,21 @@ Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
     case FedFrameType::kKillProxy:
     case FedFrameType::kReviveProxy: {
       int proxy = 0;
-      CKPT_READ(r, cell);
-      CKPT_READ(r, proxy);
-      PRESTO_RETURN_IF_ERROR(AtEnd(r, "proxy-op"));
+      PRESTO_RETURN_IF_ERROR(CkptReadAll(payload, cell, proxy));
       const bool kill = request.type == FedFrameType::kKillProxy;
       PRESTO_RETURN_IF_ERROR(host.ProxyOp(cell, proxy, kill));
       break;
     }
     case FedFrameType::kMigrateSensor: {
       int global_index = 0, new_owner = 0;
-      CKPT_READ(r, cell);
-      CKPT_READ(r, global_index);
-      CKPT_READ(r, new_owner);
-      PRESTO_RETURN_IF_ERROR(AtEnd(r, "migrate-sensor"));
+      PRESTO_RETURN_IF_ERROR(CkptReadAll(payload, cell, global_index, new_owner));
       PRESTO_RETURN_IF_ERROR(host.MigrateSensor(cell, global_index, new_owner));
       break;
     }
     case FedFrameType::kSnapshot: {
       std::vector<FedCellSnapshot> snaps;
       PRESTO_RETURN_IF_ERROR(host.Snapshot(&snaps));
-      ByteWriter w;
-      CkptWrite(w, snaps);
-      reply->payload = w.TakeBuffer();
+      reply->payload = CkptWriteAll(snaps);
       return OkStatus();
     }
     case FedFrameType::kCkptSave: {
@@ -189,15 +173,14 @@ Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
       return OkStatus();
     }
     case FedFrameType::kCkptLoad: {
-      auto blob = r.ReadBytes();
-      if (!blob.ok()) {
-        return blob.status();
-      }
+      std::vector<uint8_t> blob;
       std::vector<uint8_t> down;
-      PRESTO_RETURN_IF_ERROR(
-          ReadCellBitmap(r, static_cast<size_t>(host.num_cells()), &down));
+      CkptIn io(r);
+      io(blob);
+      CkptCellBitmap(io, down, static_cast<size_t>(host.num_cells()));
+      PRESTO_RETURN_IF_ERROR(io.status());
       PRESTO_RETURN_IF_ERROR(AtEnd(r, "ckpt-load"));
-      auto ckpt = Checkpoint::Decode(span<const uint8_t>(*blob));
+      auto ckpt = Checkpoint::Decode(span<const uint8_t>(blob));
       if (!ckpt.ok()) {
         return ckpt.status();
       }
@@ -221,8 +204,9 @@ Status CellWorker::Bootstrap(ByteReader& r) {
   FederationConfig config{};
   int host_index = 0, num_hosts = 0;
   PRESTO_RETURN_IF_ERROR(ReadRaw(r, &config));
-  CKPT_READ(r, host_index);
-  CKPT_READ(r, num_hosts);
+  CkptIn io(r);
+  io(host_index, num_hosts);
+  PRESTO_RETURN_IF_ERROR(io.status());
   PRESTO_RETURN_IF_ERROR(AtEnd(r, "bootstrap"));
   auto host = CellHost::Create(config, host_index, num_hosts);
   if (!host.ok()) {
@@ -302,8 +286,8 @@ Status RemoteCellHost::Bootstrap(const FederationConfig& config, int host_index,
                                  int num_hosts) {
   ByteWriter payload;
   WriteRaw(payload, config);
-  CkptWrite(payload, host_index);
-  CkptWrite(payload, num_hosts);
+  CkptOut io(payload);
+  io(host_index, num_hosts);
   std::vector<uint8_t> reply;
   PRESTO_RETURN_IF_ERROR(Call(FedFrameType::kBootstrap, payload.TakeBuffer(), &reply));
   num_cells_ = config.num_cells;
@@ -359,21 +343,13 @@ Result<int> RemoteCellHost::AttachDriver(int origin_cell,
 }
 
 Status RemoteCellHost::StartDriver(int cell, int slot, Duration duration) {
-  ByteWriter payload;
-  CkptWrite(payload, cell);
-  CkptWrite(payload, slot);
-  CkptWrite(payload, duration);
-  return Control(FedFrameType::kStartDriver, payload.TakeBuffer());
+  return Control(FedFrameType::kStartDriver, CkptWriteAll(cell, slot, duration));
 }
 
 Status RemoteCellHost::Step(SimTime barrier, SimTime end, std::vector<FedMail> mail) {
-  ByteWriter payload;
-  CkptWrite(payload, barrier);
-  CkptWrite(payload, end);
-  CkptWrite(payload, mail);
   FedFrame frame;
   frame.type = FedFrameType::kStep;
-  frame.payload = payload.TakeBuffer();
+  frame.payload = CkptWriteAll(barrier, end, mail);
   const Status sent = channel_->Send(frame);
   if (!sent.ok()) {
     return Die(sent);
@@ -384,39 +360,25 @@ Status RemoteCellHost::Step(SimTime barrier, SimTime end, std::vector<FedMail> m
 
 Status RemoteCellHost::Inject(int origin_cell, uint64_t token,
                               const FederationQuerySpec& spec) {
-  ByteWriter payload;
-  CkptWrite(payload, origin_cell);
-  CkptWrite(payload, token);
-  CkptWrite(payload, spec);
-  return Control(FedFrameType::kInject, payload.TakeBuffer());
+  return Control(FedFrameType::kInject, CkptWriteAll(origin_cell, token, spec));
 }
 
 Status RemoteCellHost::KillCell(int cell) {
-  ByteWriter payload;
-  CkptWrite(payload, cell);
-  return Control(FedFrameType::kKillCell, payload.TakeBuffer());
+  return Control(FedFrameType::kKillCell, CkptWriteAll(cell));
 }
 
 Status RemoteCellHost::ReviveCell(int cell) {
-  ByteWriter payload;
-  CkptWrite(payload, cell);
-  return Control(FedFrameType::kReviveCell, payload.TakeBuffer());
+  return Control(FedFrameType::kReviveCell, CkptWriteAll(cell));
 }
 
 Status RemoteCellHost::ProxyOp(int cell, int proxy, bool kill) {
-  ByteWriter payload;
-  CkptWrite(payload, cell);
-  CkptWrite(payload, proxy);
   return Control(kill ? FedFrameType::kKillProxy : FedFrameType::kReviveProxy,
-                 payload.TakeBuffer());
+                 CkptWriteAll(cell, proxy));
 }
 
 Status RemoteCellHost::MigrateSensor(int cell, int global_index, int new_owner) {
-  ByteWriter payload;
-  CkptWrite(payload, cell);
-  CkptWrite(payload, global_index);
-  CkptWrite(payload, new_owner);
-  return Control(FedFrameType::kMigrateSensor, payload.TakeBuffer());
+  return Control(FedFrameType::kMigrateSensor,
+                 CkptWriteAll(cell, global_index, new_owner));
 }
 
 Status RemoteCellHost::Snapshot(std::vector<FedCellSnapshot>* out) {

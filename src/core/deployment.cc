@@ -832,185 +832,82 @@ UnifiedQueryResult Deployment::QueryAndWait(const QuerySpec& spec, Duration max_
 
 namespace presto {
 
-void Deployment::OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                                 const EventHandle& handle, int lane) {
+Status Deployment::OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                                   const EventHandle& handle, int lane) {
   (void)t;
   (void)lane;
   // Promotion timers are the only deployment events whose handles matter (a revive
   // cancels them); completion bounces (kQuery) fire uncancelled.
   if (kind == EventKind::kMutation && payload.a == kOpPromote) {
+    if (payload.b >= pending_promotions_.size()) {
+      return DataLossError("deploy restore: promotion event names no proxy");
+    }
     pending_promotions_[static_cast<size_t>(payload.b)] = handle;
-  }
-}
-
-Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) const {
-  PRESTO_CHECK(out != nullptr);
-  Checkpoint staged;
-  const auto add = [&](const std::string& name,
-                       const std::function<Status(ByteWriter&)>& fill) -> Status {
-    ByteWriter w;
-    PRESTO_RETURN_IF_ERROR(fill(w));
-    staged.Add(prefix + name, w.TakeBuffer());
-    return OkStatus();
-  };
-  PRESTO_RETURN_IF_ERROR(add("net", [&](ByteWriter& w) { return net_->SaveState(w); }));
-  PRESTO_RETURN_IF_ERROR(
-      add("store", [&](ByteWriter& w) { return store_->SaveState(w); }));
-  PRESTO_RETURN_IF_ERROR(add("shard_map", [&](ByteWriter& w) {
-    shard_map_->SaveState(w);
-    return OkStatus();
-  }));
-  PRESTO_RETURN_IF_ERROR(add("deploy", [&](ByteWriter& w) -> Status {
-    CkptWrite(w, proxy_down_);
-    CkptWrite(w, promotion_pending_);
-    CkptWrite(w, sensor_chain_);
-    CkptWrite(w, sensor_load_ema_);
-    CkptWrite(w, shard_stats_.promotions);
-    CkptWrite(w, shard_stats_.handbacks);
-    CkptWrite(w, shard_stats_.migrations);
-    CkptWrite(w, shard_stats_.rebalance_sweeps);
-    CkptWrite(w, shard_stats_.last_promotion_at);
-    rebalance_timer_->SaveState(w);
-    CkptWrite(w, next_external_id_);
-    w.WriteVarU64(external_.size());
-    for (const auto& [id, entry] : external_) {
-      if (entry.origin == ExternalQuery::Origin::kClosure) {
-        return FailedPreconditionError(
-            "deployment checkpoint: closure-form external query in flight");
-      }
-      CkptWrite(w, id);
-      CkptWrite(w, entry.origin);
-      CkptWrite(w, entry.tag);
-      CkptWrite(w, entry.past);
-      CkptWrite(w, entry.result);
-    }
-    return OkStatus();
-  }));
-  for (int p = 0; p < config_.num_proxies; ++p) {
-    PRESTO_RETURN_IF_ERROR(add("proxy/" + std::to_string(p), [&](ByteWriter& w) {
-      return proxies_[static_cast<size_t>(p)]->SaveState(w);
-    }));
-  }
-  PRESTO_RETURN_IF_ERROR(add("sensors", [&](ByteWriter& w) {
-    for (const auto& sensor : sensors_) {
-      sensor->SaveState(w);
-    }
-    return OkStatus();
-  }));
-  PRESTO_RETURN_IF_ERROR(add("drivers", [&](ByteWriter& w) -> Status {
-    w.WriteVarU64(drivers_.size());
-    for (const auto& driver : drivers_) {
-      PRESTO_RETURN_IF_ERROR(driver->SaveState(w));
-    }
-    return OkStatus();
-  }));
-  // The simulator section is written (and restored) last: its queue references
-  // every sink above.
-  PRESTO_RETURN_IF_ERROR(add("sim", [&](ByteWriter& w) { return sim_.SaveState(w); }));
-  // Nothing partial on failure: sections land in the output only once every
-  // subsystem serialized cleanly.
-  for (const Checkpoint::Section& section : staged.sections()) {
-    out->Add(section.name, section.payload);
   }
   return OkStatus();
 }
 
-Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& prefix) {
-  const auto load = [&](const std::string& name,
-                        const std::function<Status(ByteReader&)>& fill) -> Status {
-    const std::vector<uint8_t>* payload = ckpt.Find(prefix + name);
-    if (payload == nullptr) {
-      return NotFoundError("checkpoint missing section " + prefix + name);
-    }
-    ByteReader r{span<const uint8_t>(*payload)};
-    PRESTO_RETURN_IF_ERROR(fill(r));
-    if (r.remaining() != 0) {
-      return DataLossError("checkpoint section " + prefix + name +
-                           " has trailing bytes");
-    }
-    return OkStatus();
-  };
-  PRESTO_RETURN_IF_ERROR(load("net", [&](ByteReader& r) { return net_->LoadState(r); }));
-  PRESTO_RETURN_IF_ERROR(
-      load("store", [&](ByteReader& r) { return store_->LoadState(r); }));
-  PRESTO_RETURN_IF_ERROR(
-      load("shard_map", [&](ByteReader& r) { return shard_map_->LoadState(r); }));
-  PRESTO_RETURN_IF_ERROR(load("deploy", [&](ByteReader& r) -> Status {
-    CKPT_READ(r, proxy_down_);
-    CKPT_READ(r, promotion_pending_);
-    CKPT_READ(r, sensor_chain_);
-    CKPT_READ(r, sensor_load_ema_);
-    if (proxy_down_.size() != static_cast<size_t>(config_.num_proxies) ||
-        promotion_pending_.size() != proxy_down_.size() ||
-        sensor_chain_.size() != static_cast<size_t>(total_sensors()) ||
-        sensor_load_ema_.size() != sensor_chain_.size()) {
-      return DataLossError("deploy restore: table size mismatch");
-    }
-    CKPT_READ(r, shard_stats_.promotions);
-    CKPT_READ(r, shard_stats_.handbacks);
-    CKPT_READ(r, shard_stats_.migrations);
-    CKPT_READ(r, shard_stats_.rebalance_sweeps);
-    CKPT_READ(r, shard_stats_.last_promotion_at);
-    PRESTO_RETURN_IF_ERROR(rebalance_timer_->LoadState(r));
-    CKPT_READ(r, next_external_id_);
-    auto count = r.ReadVarU64();
-    if (!count.ok()) {
-      return count.status();
-    }
-    if (*count > r.remaining()) {
-      return DataLossError("deploy restore: external count exceeds section bytes");
-    }
-    external_.clear();
-    for (uint64_t i = 0; i < *count; ++i) {
-      uint64_t id = 0;
-      CKPT_READ(r, id);
-      ExternalQuery entry;
-      CKPT_READ(r, entry.origin);
-      if (entry.origin == ExternalQuery::Origin::kClosure ||
-          static_cast<uint8_t>(entry.origin) >
-              static_cast<uint8_t>(ExternalQuery::Origin::kFederation)) {
-        return DataLossError("deploy restore: bad external query origin");
-      }
-      CKPT_READ(r, entry.tag);
-      CKPT_READ(r, entry.past);
-      CKPT_READ(r, entry.result);
-      external_.emplace(id, std::move(entry));
-    }
+template <typename Io>
+void Deployment::CkptFields(Io& io) {
+  io(proxy_down_, promotion_pending_, sensor_chain_, sensor_load_ema_);
+  CkptReject(io,
+             proxy_down_.size() != static_cast<size_t>(config_.num_proxies) ||
+                 promotion_pending_.size() != proxy_down_.size() ||
+                 sensor_chain_.size() != static_cast<size_t>(total_sensors()) ||
+                 sensor_load_ema_.size() != sensor_chain_.size(),
+             "deploy restore: table size mismatch");
+  io(shard_stats_.promotions, shard_stats_.handbacks, shard_stats_.migrations,
+     shard_stats_.rebalance_sweeps, shard_stats_.last_promotion_at, *rebalance_timer_,
+     next_external_id_, external_);
+  if constexpr (Io::kLoading) {
     // Stale pre-restore promotion handles: drop (never cancel) — the simulator
-    // section re-announces the live ones below.
+    // section re-announces the live ones.
     for (EventHandle& handle : pending_promotions_) {
       handle = EventHandle();
     }
-    return OkStatus();
-  }));
-  for (int p = 0; p < config_.num_proxies; ++p) {
-    PRESTO_RETURN_IF_ERROR(load("proxy/" + std::to_string(p), [&](ByteReader& r) {
-      return proxies_[static_cast<size_t>(p)]->LoadState(r);
-    }));
   }
-  PRESTO_RETURN_IF_ERROR(load("sensors", [&](ByteReader& r) -> Status {
+}
+
+template <typename Book>
+void Deployment::CkptSections(Book& book) {
+  book("net", [&](auto& io) { io(*net_); });
+  book("store", [&](auto& io) { io(*store_); });
+  book("shard_map", [&](auto& io) { io(*shard_map_); });
+  book("deploy", [&](auto& io) { CkptFields(io); });
+  for (int p = 0; p < config_.num_proxies; ++p) {
+    book("proxy/" + std::to_string(p),
+         [&](auto& io) { io(*proxies_[static_cast<size_t>(p)]); });
+  }
+  book("sensors", [&](auto& io) {
     for (const auto& sensor : sensors_) {
-      PRESTO_RETURN_IF_ERROR(sensor->LoadState(r));
+      io(*sensor);
     }
-    return OkStatus();
-  }));
-  PRESTO_RETURN_IF_ERROR(load("drivers", [&](ByteReader& r) -> Status {
-    auto count = r.ReadVarU64();
-    if (!count.ok()) {
-      return count.status();
-    }
-    if (*count != drivers_.size()) {
-      return FailedPreconditionError(
-          "driver restore: attach the same drivers before restoring");
-    }
+  });
+  book("drivers", [&](auto& io) {
+    CkptExpect(io, static_cast<uint64_t>(drivers_.size()),
+               StatusCode::kFailedPrecondition,
+               "driver restore: attach the same drivers before restoring");
     for (const auto& driver : drivers_) {
-      PRESTO_RETURN_IF_ERROR(driver->LoadState(r));
+      io(*driver);
     }
-    return OkStatus();
-  }));
-  // The simulator loads last: restored queue events announce through
-  // OnEventRestored into the fully restored subsystems above.
-  return load("sim", [&](ByteReader& r) { return sim_.LoadState(r); });
+  });
+  // The simulator section comes last: its queue references every sink above, and
+  // restored queue events announce through OnEventRestored into the fully
+  // restored subsystems.
+  book("sim", [&](auto& io) { io(sim_); });
+}
+
+Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) const {
+  PRESTO_CHECK(out != nullptr);
+  CkptSectionsOut book(prefix);
+  const_cast<Deployment*>(this)->CkptSections(book);
+  return book.Commit(out);
+}
+
+Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& prefix) {
+  CkptSectionsIn book(ckpt, prefix);
+  CkptSections(book);
+  return book.status();
 }
 
 }  // namespace presto

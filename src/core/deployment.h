@@ -276,8 +276,8 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // epoch barriers (or inline in legacy mode). kQuery events are QueryAsync
   // completions marshalled from the serving proxy's lane back to control context.
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
-  void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                       const EventHandle& handle, int lane) override;
+  Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                         const EventHandle& handle, int lane) override;
 
   // --- checkpoint / restore ---
   // Snapshots every stateful subsystem into per-section payloads (each section
@@ -297,6 +297,13 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   Status LoadCheckpoint(const Checkpoint& ckpt, const std::string& prefix = "");
 
  private:
+  // The section list both checkpoint directions walk (CkptSectionsOut/In), and
+  // the "deploy" section's own fields.
+  template <typename Book>
+  void CkptSections(Book& book);
+  template <typename Io>
+  void CkptFields(Io& io);
+
   void Build(MeasureFactory measure_factory);
 
   bool ReplicationEnabled() const {
@@ -374,6 +381,17 @@ class Deployment : public EventSink, public UnifiedStore::Client {
     bool past = false;  // kDriver: the request's PAST/NOW class
     UnifiedQueryResult result;
     std::function<void(const UnifiedQueryResult&)> on_done;
+
+    friend constexpr uint64_t CkptEnumMax(Origin) { return 2; }
+    template <typename Io>
+    void CkptFields(Io& io) {
+      if (!Io::kLoading && origin == Origin::kClosure) {
+        io.Fail(FailedPreconditionError(
+            "deployment checkpoint: closure-form external query in flight"));
+      }
+      io(origin, tag, past, result);
+      CkptReject(io, origin == Origin::kClosure, "deploy restore: closure query origin");
+    }
   };
   void QueryAsyncInternal(const QuerySpec& spec, ExternalQuery entry);
   ExternalQuery* FindExternal(uint64_t id);

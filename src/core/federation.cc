@@ -64,127 +64,15 @@ int CellDirectory::FedIndexOf(int cell, int local) const {
 // Seam codecs.
 // ---------------------------------------------------------------------------
 
-void CkptWrite(ByteWriter& w, const FederationQuerySpec& v) {
-  CkptWrite(w, v.type);
-  CkptWrite(w, v.fed_sensor);
-  CkptWrite(w, v.range);
-  CkptWrite(w, v.tolerance);
-  CkptWrite(w, v.latency_bound);
-}
-
-Status CkptRead(ByteReader& r, FederationQuerySpec& v) {
-  CKPT_READ(r, v.type);
-  if (static_cast<uint8_t>(v.type) > static_cast<uint8_t>(QueryType::kPast)) {
-    return DataLossError("federation query spec: type out of range");
-  }
-  CKPT_READ(r, v.fed_sensor);
-  CKPT_READ(r, v.range);
-  CKPT_READ(r, v.tolerance);
-  CKPT_READ(r, v.latency_bound);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FederationQueryResult& v) {
-  CkptWrite(w, v.cell);
-  CkptWrite(w, v.origin_cell);
-  CkptWrite(w, v.target_cell);
-  CkptWrite(w, v.cross_cell);
-  CkptWrite(w, v.issued_at);
-  CkptWrite(w, v.completed_at);
-}
-
-Status CkptRead(ByteReader& r, FederationQueryResult& v) {
-  CKPT_READ(r, v.cell);
-  CKPT_READ(r, v.origin_cell);
-  CKPT_READ(r, v.target_cell);
-  CKPT_READ(r, v.cross_cell);
-  CKPT_READ(r, v.issued_at);
-  CKPT_READ(r, v.completed_at);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FederationTrunkTotals& v) {
-  CkptWrite(w, v.messages);
-  CkptWrite(w, v.bytes);
-}
-
-Status CkptRead(ByteReader& r, FederationTrunkTotals& v) {
-  CKPT_READ(r, v.messages);
-  CKPT_READ(r, v.bytes);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FedCell::Counters& v) {
-  CkptWrite(w, v.next_qid);
-  CkptWrite(w, v.queries);
-  CkptWrite(w, v.local);
-  CkptWrite(w, v.forwarded);
-  CkptWrite(w, v.failed);
-  CkptWrite(w, v.orphans);
-}
-
-Status CkptRead(ByteReader& r, FedCell::Counters& v) {
-  CKPT_READ(r, v.next_qid);
-  CKPT_READ(r, v.queries);
-  CKPT_READ(r, v.local);
-  CKPT_READ(r, v.forwarded);
-  CKPT_READ(r, v.failed);
-  CKPT_READ(r, v.orphans);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FedCellSnapshot& v) {
-  CkptWrite(w, v.sim_fingerprint);
-  CkptWrite(w, v.events);
-  CkptWrite(w, v.counters);
-  CkptWrite(w, v.trunks);
-  CkptWrite(w, v.drivers);
-}
-
-Status CkptRead(ByteReader& r, FedCellSnapshot& v) {
-  CKPT_READ(r, v.sim_fingerprint);
-  CKPT_READ(r, v.events);
-  CKPT_READ(r, v.counters);
-  CKPT_READ(r, v.trunks);
-  CKPT_READ(r, v.drivers);
-  return OkStatus();
-}
-
 std::vector<uint8_t> EncodeFedControlReply(
     const std::vector<FedMail>& mail,
     const std::vector<FedCell::HostDone>& host_done) {
-  ByteWriter w;
-  CkptWrite(w, mail);
-  w.WriteVarU64(host_done.size());
-  for (const FedCell::HostDone& d : host_done) {
-    CkptWrite(w, d.token);
-    CkptWrite(w, d.result);
-  }
-  return w.TakeBuffer();
+  return CkptWriteAll(mail, host_done);
 }
 
 Status DecodeFedControlReply(span<const uint8_t> payload, std::vector<FedMail>* mail,
                              std::vector<FedCell::HostDone>* host_done) {
-  ByteReader r{payload};
-  CKPT_READ(r, *mail);
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("fed control reply: count exceeds payload bytes");
-  }
-  host_done->clear();
-  for (uint64_t i = 0; i < *count; ++i) {
-    FedCell::HostDone d;
-    CKPT_READ(r, d.token);
-    CKPT_READ(r, d.result);
-    host_done->push_back(std::move(d));
-  }
-  if (r.remaining() != 0) {
-    return DataLossError("fed control reply: trailing bytes");
-  }
-  return OkStatus();
+  return CkptReadAll(payload, *mail, *host_done);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,93 +346,53 @@ FederationTrunkTotals FedCell::TrunkTotals() const {
   return total;
 }
 
-Status FedCell::SaveState(ByteWriter& w) const {
-  CkptWrite(w, counters_);
-  for (const auto& link : links_out_) {
-    if (link != nullptr) {
-      link->SaveState(w);
-    }
-  }
-  // qid-sorted walk: the serialized bytes must not depend on hash layout.
-  std::vector<uint64_t> qids;
-  qids.reserve(pending_.size());
-  for (const auto& [qid, q] : pending_) {
-    qids.push_back(qid);
-  }
-  std::sort(qids.begin(), qids.end());
-  w.WriteVarU64(qids.size());
-  for (const uint64_t qid : qids) {
-    const Pending& q = pending_.at(qid);
-    if (q.origin != Origin::kDriver) {
-      return FailedPreconditionError(
-          "federation checkpoint: host probe in flight (QueryAndWait)");
-    }
-    CkptWrite(w, qid);
-    CkptWrite(w, q.spec);
-    CkptWrite(w, q.result);
-    CkptWrite(w, q.driver_slot);
-    CkptWrite(w, q.past);
-  }
-  w.WriteVarU64(drivers_.size());
-  for (const auto& driver : drivers_) {
-    PRESTO_RETURN_IF_ERROR(driver->SaveState(w));
-  }
-  return OkStatus();
-}
-
-Status FedCell::LoadState(ByteReader& r) {
-  CKPT_READ(r, counters_);
+template <typename Io>
+void FedCell::CkptFields(Io& io) {
+  io(counters_);
   for (auto& link : links_out_) {
     if (link != nullptr) {
-      PRESTO_RETURN_IF_ERROR(link->LoadState(r));
+      io(*link);
     }
   }
-  pending_.clear();
-  for (auto& targets : by_target_) {
-    targets.clear();
+  // Ascending qid: the serialized bytes must not depend on hash layout.
+  std::map<uint64_t, Pending> pending;
+  if constexpr (!Io::kLoading) {
+    pending.insert(pending_.begin(), pending_.end());
   }
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("federation restore: pending count exceeds section bytes");
-  }
-  for (uint64_t i = 0; i < *count; ++i) {
-    uint64_t qid = 0;
-    CKPT_READ(r, qid);
-    Pending q;
-    q.origin = Origin::kDriver;  // the only origin that can cross a checkpoint
-    CKPT_READ(r, q.spec);
-    CKPT_READ(r, q.result);
-    CKPT_READ(r, q.driver_slot);
-    CKPT_READ(r, q.past);
-    if (OriginOf(qid) != index_ || q.result.origin_cell != index_) {
-      return DataLossError("federation restore: pending query origin mismatch");
-    }
-    if (q.result.target_cell < 0 || q.result.target_cell >= config_->num_cells) {
-      return DataLossError("federation restore: pending query cell out of range");
-    }
-    if (q.driver_slot >= drivers_.size()) {
-      return FailedPreconditionError(
-          "federation restore: attach the same drivers before restoring");
-    }
-    by_target_[static_cast<size_t>(q.result.target_cell)].insert(qid);
-    pending_.emplace(qid, std::move(q));
-  }
-  auto driver_count = r.ReadVarU64();
-  if (!driver_count.ok()) {
-    return driver_count.status();
-  }
-  if (*driver_count != drivers_.size()) {
-    return FailedPreconditionError(
-        "federation restore: attach the same drivers before restoring");
-  }
+  io(pending);
+  CkptExpect(io, static_cast<uint64_t>(drivers_.size()), StatusCode::kFailedPrecondition,
+             "federation restore: attach the same drivers before restoring");
   for (const auto& driver : drivers_) {
-    PRESTO_RETURN_IF_ERROR(driver->LoadState(r));
+    io(*driver);
   }
-  return OkStatus();
+  if constexpr (Io::kLoading) {
+    for (const auto& [qid, q] : pending) {
+      CkptReject(io,
+                 OriginOf(qid) != index_ || q.result.origin_cell != index_ ||
+                     q.result.target_cell < 0 ||
+                     q.result.target_cell >= config_->num_cells,
+                 "federation restore: pending query origin or cell out of range");
+      CkptReject(io, q.driver_slot >= drivers_.size(),
+                 "federation restore: pending query names a missing driver");
+    }
+    if (!io.ok()) {
+      return;
+    }
+    pending_.clear();
+    for (auto& targets : by_target_) {
+      targets.clear();
+    }
+    for (auto& [qid, q] : pending) {
+      by_target_[static_cast<size_t>(q.result.target_cell)].insert(qid);
+      pending_.emplace(qid, std::move(q));
+    }
+  }
 }
+
+PRESTO_CKPT_FIELDS(FedCell);
+
+Status FedCell::SaveState(ByteWriter& w) const { return CkptSave(w, *this); }
+Status FedCell::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 // ---------------------------------------------------------------------------
 // Federation: construction and the shared barrier schedule.
@@ -1128,6 +976,23 @@ void Federation::RefreshSnapshots() const {
 // identical whichever mode produced them (the live-migration contract).
 // ---------------------------------------------------------------------------
 
+template <typename Io>
+void Federation::CkptFields(Io& io, std::vector<FedMail>& mail) {
+  // Orchestrator-only state: the federation clock, barrier-sequence hash,
+  // barrier counters, orphan count, cell-down flags, and the undrained FedMail
+  // (per-source FIFO, flattened source-ascending).
+  io(now_, barrier_hash_, serial_stats_.barriers, serial_stats_.mail_drained, orphans_);
+  CkptCellBitmap(io, cell_down_, static_cast<size_t>(config_.num_cells));
+  io(mail);
+  for (const FedMail& m : mail) {
+    CkptReject(io,
+               m.source_cell < 0 || m.source_cell >= config_.num_cells ||
+                   m.target_cell < 0 || m.target_cell >= config_.num_cells ||
+                   (m.op != kFedOpExecute && m.op != kFedOpComplete),
+               "federation restore: bad mail entry");
+  }
+}
+
 Status Federation::SaveCheckpoint(Checkpoint* out) const {
   PRESTO_CHECK(out != nullptr);
   std::vector<Checkpoint> subs(hosts_.size());
@@ -1151,22 +1016,13 @@ Status Federation::SaveCheckpoint(Checkpoint* out) const {
       }
     }
   }
-  // Orchestrator-only state: the federation clock, barrier-sequence hash,
-  // barrier counters, orphan count, cell-down flags, and the undrained FedMail
-  // (per-source FIFO, flattened source-ascending).
-  ByteWriter w;
-  CkptWrite(w, now_);
-  CkptWrite(w, barrier_hash_);
-  CkptWrite(w, serial_stats_.barriers);
-  CkptWrite(w, serial_stats_.mail_drained);
-  CkptWrite(w, orphans_);
-  WriteCellBitmap(w, cell_down_);
   std::vector<FedMail> mail;
   for (const auto& box : route_) {
     mail.insert(mail.end(), box.begin(), box.end());
   }
-  CkptWrite(w, mail);
-  staged.Add("fed", w.TakeBuffer());
+  CkptSectionsOut book("");
+  book("fed", [&](CkptOut& io) { const_cast<Federation*>(this)->CkptFields(io, mail); });
+  PRESTO_RETURN_IF_ERROR(book.Commit(&staged));
   // Nothing partial on failure: sections land in the output only once every
   // cell and the federation itself serialized cleanly.
   for (const Checkpoint::Section& section : staged.sections()) {
@@ -1176,30 +1032,10 @@ Status Federation::SaveCheckpoint(Checkpoint* out) const {
 }
 
 Status Federation::LoadCheckpoint(const Checkpoint& ckpt) {
-  const std::vector<uint8_t>* payload = ckpt.Find("fed");
-  if (payload == nullptr) {
-    return NotFoundError("checkpoint missing section fed");
-  }
-  ByteReader r{span<const uint8_t>(*payload)};
-  CKPT_READ(r, now_);
-  CKPT_READ(r, barrier_hash_);
-  CKPT_READ(r, serial_stats_.barriers);
-  CKPT_READ(r, serial_stats_.mail_drained);
-  CKPT_READ(r, orphans_);
-  PRESTO_RETURN_IF_ERROR(
-      ReadCellBitmap(r, static_cast<size_t>(config_.num_cells), &cell_down_));
   std::vector<FedMail> mail;
-  CKPT_READ(r, mail);
-  for (const FedMail& m : mail) {
-    if (m.source_cell < 0 || m.source_cell >= config_.num_cells ||
-        m.target_cell < 0 || m.target_cell >= config_.num_cells ||
-        (m.op != kFedOpExecute && m.op != kFedOpComplete)) {
-      return DataLossError("federation restore: bad mail entry");
-    }
-  }
-  if (r.remaining() != 0) {
-    return DataLossError("checkpoint section fed has trailing bytes");
-  }
+  CkptSectionsIn book(ckpt, "");
+  book("fed", [&](CkptIn& io) { CkptFields(io, mail); });
+  PRESTO_RETURN_IF_ERROR(book.status());
   // Every host restores its cells from the same container — live migration is
   // just "bootstrap, then load". Router state restores before each cell's
   // simulator, so restored events re-announce into fully rebuilt tables.

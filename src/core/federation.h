@@ -212,12 +212,16 @@ struct FederationQueryResult {
   Duration Latency() const { return completed_at - issued_at; }
 };
 
-// Wire/checkpoint codecs: specs ride kInject frames, results ride host_done folds
-// and in-flight pending entries.
-void CkptWrite(ByteWriter& w, const FederationQuerySpec& v);
-Status CkptRead(ByteReader& r, FederationQuerySpec& v);
-void CkptWrite(ByteWriter& w, const FederationQueryResult& v);
-Status CkptRead(ByteReader& r, FederationQueryResult& v);
+// Wire/checkpoint field lists: specs ride kInject frames, results ride host_done
+// folds and in-flight pending entries.
+template <typename Io>
+void CkptFields(Io& io, FederationQuerySpec& v) {
+  io(v.type, v.fed_sensor, v.range, v.tolerance, v.latency_bound);
+}
+template <typename Io>
+void CkptFields(Io& io, FederationQueryResult& v) {
+  io(v.cell, v.origin_cell, v.target_cell, v.cross_cell, v.issued_at, v.completed_at);
+}
 
 struct FederationStats {
   uint64_t queries = 0;
@@ -239,8 +243,10 @@ struct FederationTrunkTotals {
   uint64_t bytes = 0;
 };
 
-void CkptWrite(ByteWriter& w, const FederationTrunkTotals& v);
-Status CkptRead(ByteReader& r, FederationTrunkTotals& v);
+template <typename Io>
+void CkptFields(Io& io, FederationTrunkTotals& v) {
+  io(v.messages, v.bytes);
+}
 
 // The per-cell half of the federation router (see file header). One FedCell per
 // cell, paired with its Deployment inside a CellHost — in this process or in a
@@ -260,11 +266,26 @@ class FedCell : public EventSink, public FederationQueryClient {
     uint64_t driver_slot = 0;  // kDriver: index into this cell's drivers
     bool past = false;         // kDriver: query class for the recorded outcome
     uint64_t host_token = 0;   // kHost: orchestrator-side correlation token
+
+    // Driver form only: a host probe cannot cross a checkpoint.
+    template <typename Io>
+    void CkptFields(Io& io) {
+      if (!Io::kLoading && origin != Origin::kDriver) {
+        io.Fail(FailedPreconditionError(
+            "federation checkpoint: host probe in flight (QueryAndWait)"));
+      }
+      io(spec, result, driver_slot, past);
+    }
   };
 
   struct HostDone {
     uint64_t token = 0;
     FederationQueryResult result;
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(token, result);
+    }
   };
 
   // Per-origin-cell bookkeeping, written only from this cell's serial control lane
@@ -276,6 +297,11 @@ class FedCell : public EventSink, public FederationQueryClient {
     uint64_t forwarded = 0;
     uint64_t failed = 0;
     uint64_t orphans = 0;
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(next_qid, queries, local, forwarded, failed, orphans);
+    }
   };
 
   // Registers as a sink on (and federation client of) `cell`'s simulator — call
@@ -331,11 +357,6 @@ class FedCell : public EventSink, public FederationQueryClient {
   FederationTrunkTotals TrunkTotals() const;
 
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
-  void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                       const EventHandle& handle, int lane) override {
-    // Mail events carry everything in their payload; nothing to re-capture.
-    (void)t, (void)kind, (void)payload, (void)handle, (void)lane;
-  }
 
   // FederationQueryClient: a tagged deployment query completed at this cell (runs
   // on this cell's control lane). Local queries finalize here; cross-cell answers
@@ -349,6 +370,8 @@ class FedCell : public EventSink, public FederationQueryClient {
   // is what makes in-process and multi-process checkpoints byte-identical.
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   int OriginOf(uint64_t qid) const {
@@ -381,9 +404,6 @@ class FedCell : public EventSink, public FederationQueryClient {
   std::vector<std::unique_ptr<QueryDriver>> drivers_;
 };
 
-void CkptWrite(ByteWriter& w, const FedCell::Counters& v);
-Status CkptRead(ByteReader& r, FedCell::Counters& v);
-
 // One cell's folded telemetry, marshalled over kSnapshot frames: everything the
 // orchestrator's read-side facade (stats / fingerprint / EventsExecuted /
 // TrunkTotals / DriverStats) needs without touching the cell.
@@ -393,10 +413,12 @@ struct FedCellSnapshot {
   FedCell::Counters counters;
   FederationTrunkTotals trunks;
   std::vector<QueryDriverStats> drivers;
-};
 
-void CkptWrite(ByteWriter& w, const FedCellSnapshot& v);
-Status CkptRead(ByteReader& r, FedCellSnapshot& v);
+  template <typename Io>
+  void CkptFields(Io& io) {
+    io(sim_fingerprint, events, counters, trunks, drivers);
+  }
+};
 
 // Control-reply payload: the FedMail the op (or epoch) generated plus any
 // host-probe completions. Every control frame (kStart through kMigrateSensor,
@@ -523,6 +545,10 @@ class Federation {
   Status LoadCheckpoint(const Checkpoint& ckpt);
 
  private:
+  // The orchestrator's "fed" checkpoint section; `mail` is the flattened route_.
+  template <typename Io>
+  void CkptFields(Io& io, std::vector<FedMail>& mail);
+
   // One cell host: the in-process CellHost (every cell), or a presto_cell worker
   // reached through a RemoteCellHost.
   struct Host {

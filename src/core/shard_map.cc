@@ -184,30 +184,22 @@ int ShardMap::MaxShardSize() const {
   return static_cast<int>(max);
 }
 
-void ShardMap::SaveState(ByteWriter& w) const {
-  CkptWrite(w, version_);
-  CkptWrite(w, owner_);
-  CkptWrite(w, acting_);
-}
-
-Status ShardMap::LoadState(ByteReader& r) {
-  CKPT_READ(r, version_);
-  std::vector<int> owner;
-  std::vector<int> acting;
-  CKPT_READ(r, owner);
-  CKPT_READ(r, acting);
-  if (owner.size() != static_cast<size_t>(total_sensors_) ||
-      acting.size() != owner.size()) {
-    return DataLossError("shard map restore: table size mismatch");
+template <typename Io>
+void ShardMap::CkptFields(Io& io) {
+  io(version_, owner_, acting_);
+  if constexpr (!Io::kLoading) {
+    return;
   }
-  for (size_t g = 0; g < owner.size(); ++g) {
-    if (owner[g] < 0 || owner[g] >= num_proxies_ || acting[g] < -1 ||
-        acting[g] >= num_proxies_) {
-      return DataLossError("shard map restore: proxy index out of range");
-    }
+  bool valid = owner_.size() == static_cast<size_t>(total_sensors_) &&
+               acting_.size() == owner_.size();
+  for (size_t g = 0; valid && g < owner_.size(); ++g) {
+    valid = owner_[g] >= 0 && owner_[g] < num_proxies_ && acting_[g] >= -1 &&
+            acting_[g] < num_proxies_;
   }
-  owner_ = std::move(owner);
-  acting_ = std::move(acting);
+  CkptReject(io, !valid, "shard map restore: table size or proxy index out of range");
+  if (!io.ok()) {
+    return;
+  }
   // Rebuild the inverse indices ascending — the invariant the incremental
   // maintenance preserves, so a restored map is indistinguishable from a live one.
   for (auto& shard : by_proxy_) {
@@ -220,7 +212,10 @@ Status ShardMap::LoadState(ByteReader& r) {
     by_proxy_[static_cast<size_t>(owner_[static_cast<size_t>(g)])].push_back(g);
     served_by_[static_cast<size_t>(ActingOwnerOf(g))].push_back(g);
   }
-  return OkStatus();
 }
+PRESTO_CKPT_FIELDS(ShardMap);
+
+void ShardMap::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status ShardMap::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

@@ -104,6 +104,8 @@ class ShardMap {
   // incremental maintenance leaves them). The replica ring is construction-static.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   int num_proxies_;

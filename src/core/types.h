@@ -37,41 +37,17 @@ struct UnifiedQueryResult {
 };
 
 // Checkpoint codecs: specs and results ride inside pending-query sections.
-inline void CkptWrite(ByteWriter& w, const QuerySpec& spec) {
-  CkptWrite(w, spec.type);
-  CkptWrite(w, spec.sensor_id);
-  CkptWrite(w, spec.range);
-  CkptWrite(w, spec.tolerance);
-  CkptWrite(w, spec.latency_bound);
-}
-inline Status CkptRead(ByteReader& r, QuerySpec& spec) {
-  CKPT_READ(r, spec.type);
-  if (static_cast<uint8_t>(spec.type) > static_cast<uint8_t>(QueryType::kPast)) {
-    return DataLossError("query spec restore: type out of range");
-  }
-  CKPT_READ(r, spec.sensor_id);
-  CKPT_READ(r, spec.range);
-  CKPT_READ(r, spec.tolerance);
-  CKPT_READ(r, spec.latency_bound);
-  return OkStatus();
+constexpr uint64_t CkptEnumMax(QueryType) { return 1; }
+
+template <typename Io>
+void CkptFields(Io& io, QuerySpec& spec) {
+  io(spec.type, spec.sensor_id, spec.range, spec.tolerance, spec.latency_bound);
 }
 
-inline void CkptWrite(ByteWriter& w, const UnifiedQueryResult& result) {
-  CkptWrite(w, result.answer);
-  CkptWrite(w, result.served_by);
-  CkptWrite(w, result.index_hops);
-  CkptWrite(w, result.used_replica);
-  CkptWrite(w, result.issued_at);
-  CkptWrite(w, result.completed_at);
-}
-inline Status CkptRead(ByteReader& r, UnifiedQueryResult& result) {
-  CKPT_READ(r, result.answer);
-  CKPT_READ(r, result.served_by);
-  CKPT_READ(r, result.index_hops);
-  CKPT_READ(r, result.used_replica);
-  CKPT_READ(r, result.issued_at);
-  CKPT_READ(r, result.completed_at);
-  return OkStatus();
+template <typename Io>
+void CkptFields(Io& io, UnifiedQueryResult& result) {
+  io(result.answer, result.served_by, result.index_hops, result.used_replica,
+     result.issued_at, result.completed_at);
 }
 
 // QueryOutcome view of a store result — the driver-glue half both Deployment and

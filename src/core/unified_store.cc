@@ -199,63 +199,18 @@ void UnifiedStore::OnSimEvent(EventKind kind, EventPayload& payload) {
   }
 }
 
-Status UnifiedStore::SaveState(ByteWriter& w) const {
+template <typename Io>
+void UnifiedStore::CkptFields(Io& io) {
   // Runs from control context at a barrier: no lane is executing, so the pending map
   // is stable without the mutex.
-  index_.SaveState(w);
-  CkptWrite(w, chain_of_);
-  CkptWrite(w, stats_.queries);
-  CkptWrite(w, stats_.routed);
-  CkptWrite(w, stats_.failovers);
-  CkptWrite(w, stats_.unroutable);
-  CkptWrite(w, stats_.total_index_hops);
-  CkptWrite(w, stats_.reassignments);
-  CkptWrite(w, next_query_id_);
-  w.WriteVarU64(pending_.size());
-  for (const auto& [id, pending] : pending_) {
-    if (!pending.has_token) {
-      return FailedPreconditionError(
-          "store checkpoint: closure-form query pending (use the token query API)");
-    }
-    CkptWrite(w, id);
-    CkptWrite(w, pending.spec);
-    CkptWrite(w, pending.result);
-    CkptWrite(w, pending.token);
-    CkptWrite(w, pending.route_delay);
-  }
-  return OkStatus();
+  io(index_, chain_of_, stats_.queries, stats_.routed, stats_.failovers,
+     stats_.unroutable, stats_.total_index_hops, stats_.reassignments, next_query_id_,
+     pending_);
 }
 
-Status UnifiedStore::LoadState(ByteReader& r) {
-  PRESTO_RETURN_IF_ERROR(index_.LoadState(r));
-  CKPT_READ(r, chain_of_);
-  CKPT_READ(r, stats_.queries);
-  CKPT_READ(r, stats_.routed);
-  CKPT_READ(r, stats_.failovers);
-  CKPT_READ(r, stats_.unroutable);
-  CKPT_READ(r, stats_.total_index_hops);
-  CKPT_READ(r, stats_.reassignments);
-  CKPT_READ(r, next_query_id_);
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("store restore: pending count exceeds section bytes");
-  }
-  pending_.clear();
-  for (uint64_t i = 0; i < *count; ++i) {
-    uint64_t id = 0;
-    CKPT_READ(r, id);
-    PendingQuery pending;
-    pending.has_token = true;
-    CKPT_READ(r, pending.spec);
-    CKPT_READ(r, pending.result);
-    CKPT_READ(r, pending.token);
-    CKPT_READ(r, pending.route_delay);
-    pending_.emplace(id, std::move(pending));
-  }
-  return OkStatus();
-}
+PRESTO_CKPT_FIELDS(UnifiedStore);
+
+Status UnifiedStore::SaveState(ByteWriter& w) const { return CkptSave(w, *this); }
+Status UnifiedStore::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

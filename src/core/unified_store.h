@@ -98,6 +98,8 @@ class UnifiedStore : public EventSink, public PullClient {
   // constructed store (same proxies added in the same order).
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   // One routed query in flight: spec + provenance-annotated result under
@@ -112,6 +114,19 @@ class UnifiedStore : public EventSink, public PullClient {
     uint64_t token = 0;
     std::function<void(const UnifiedQueryResult&)> callback;
     Duration route_delay = 0;
+
+    // Token form only: a closure cannot cross a checkpoint.
+    template <typename Io>
+    void CkptFields(Io& io) {
+      if (!Io::kLoading && !has_token) {
+        io.Fail(FailedPreconditionError(
+            "store checkpoint: closure-form query pending (use the token query API)"));
+      }
+      io(spec, result, token, route_delay);
+      if constexpr (Io::kLoading) {
+        has_token = true;
+      }
+    }
   };
 
   void QueryInternal(const QuerySpec& spec, PendingQuery pending);

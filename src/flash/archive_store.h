@@ -88,6 +88,8 @@ class ArchiveStore {
   // separately; both must be restored for the store to be consistent.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   struct Segment {
@@ -97,6 +99,11 @@ class ArchiveStore {
     Duration resolution = 0;
     int pages_used = 0;
     std::vector<SimTime> page_first_ts;  // time index: first record per written page
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(block, first_ts, last_ts, resolution, pages_used, page_first_ts);
+    }
   };
 
   int PagesPerBlock() const { return device_->params().pages_per_block; }

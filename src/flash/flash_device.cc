@@ -101,67 +101,44 @@ void FlashDevice::CorruptPageForTest(int page) {
 
 namespace presto {
 
-void FlashDevice::SaveState(ByteWriter& w) const {
+template <typename Io>
+void FlashDevice::CkptFields(Io& io) {
   const size_t page_size = static_cast<size_t>(params_.page_size_bytes);
-  uint64_t written_count = 0;
-  for (const bool b : written_) {
-    written_count += b ? 1 : 0;
-  }
-  w.WriteVarU64(written_count);
-  for (size_t p = 0; p < written_.size(); ++p) {
-    if (!written_[p]) {
-      continue;
+  // Media contents as (page index, image), written pages only and ascending —
+  // erased pages are implied 0xFF.
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> pages;
+  if constexpr (!Io::kLoading) {
+    for (size_t p = 0; p < written_.size(); ++p) {
+      if (written_[p]) {
+        const uint8_t* image = data_.data() + p * page_size;
+        pages.emplace_back(p, std::vector<uint8_t>(image, image + page_size));
+      }
     }
-    w.WriteVarU64(p);
-    w.WriteBytes(span<const uint8_t>(data_.data() + p * page_size, page_size));
   }
-  CkptWrite(w, wear_);
-  CkptWrite(w, stats_.page_reads);
-  CkptWrite(w, stats_.page_writes);
-  CkptWrite(w, stats_.block_erases);
-  CkptWrite(w, stats_.busy_time);
+  io(pages, wear_, stats_.page_reads, stats_.page_writes, stats_.block_erases,
+     stats_.busy_time);
+  if constexpr (Io::kLoading) {
+    CkptReject(io, wear_.size() != static_cast<size_t>(params_.num_blocks),
+               "flash restore: wear table size mismatch");
+    std::fill(data_.begin(), data_.end(), 0xFF);
+    written_.assign(static_cast<size_t>(params_.TotalPages()), false);
+    uint64_t next = 0;
+    for (const auto& [page, image] : pages) {
+      CkptReject(io, page < next || page >= written_.size() || image.size() != page_size,
+                 "flash restore: page record out of order, range or size");
+      if (!io.ok()) {
+        return;
+      }
+      std::copy(image.begin(), image.end(),
+                data_.begin() + static_cast<ptrdiff_t>(page * page_size));
+      written_[static_cast<size_t>(page)] = true;
+      next = page + 1;
+    }
+  }
 }
+PRESTO_CKPT_FIELDS(FlashDevice);
 
-Status FlashDevice::LoadState(ByteReader& r) {
-  const size_t page_size = static_cast<size_t>(params_.page_size_bytes);
-  const size_t total_pages = static_cast<size_t>(params_.TotalPages());
-  auto written_count = r.ReadVarU64();
-  if (!written_count.ok()) {
-    return written_count.status();
-  }
-  if (*written_count > total_pages) {
-    return DataLossError("flash restore: written-page count exceeds device size");
-  }
-  std::fill(data_.begin(), data_.end(), 0xFF);
-  written_.assign(total_pages, false);
-  for (uint64_t i = 0; i < *written_count; ++i) {
-    auto page = r.ReadVarU64();
-    if (!page.ok()) {
-      return page.status();
-    }
-    if (*page >= total_pages) {
-      return DataLossError("flash restore: page index out of range");
-    }
-    auto bytes = r.ReadBytes();
-    if (!bytes.ok()) {
-      return bytes.status();
-    }
-    if (bytes->size() != page_size) {
-      return DataLossError("flash restore: page image size mismatch");
-    }
-    std::copy(bytes->begin(), bytes->end(),
-              data_.begin() + static_cast<ptrdiff_t>(*page * page_size));
-    written_[static_cast<size_t>(*page)] = true;
-  }
-  CKPT_READ(r, wear_);
-  if (wear_.size() != static_cast<size_t>(params_.num_blocks)) {
-    return DataLossError("flash restore: wear table size mismatch");
-  }
-  CKPT_READ(r, stats_.page_reads);
-  CKPT_READ(r, stats_.page_writes);
-  CKPT_READ(r, stats_.block_erases);
-  CKPT_READ(r, stats_.busy_time);
-  return OkStatus();
-}
+void FlashDevice::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status FlashDevice::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

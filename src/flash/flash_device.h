@@ -77,6 +77,8 @@ class FlashDevice {
   // 0xFF), wear counters, and stats. LoadState requires identical FlashParams.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   bool ValidPage(int page) const { return page >= 0 && page < params_.TotalPages(); }

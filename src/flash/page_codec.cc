@@ -140,22 +140,12 @@ Result<DecodedPage> DecodePage(span<const uint8_t> page) {
 
 namespace presto {
 
-void PageBuilder::SaveCkpt(ByteWriter& w) const {
-  CkptWrite(w, records_);
-  CkptWrite(w, count_);
-  CkptWrite(w, first_ts_);
-  CkptWrite(w, last_ts_);
+template <typename Io>
+void PageBuilder::CkptFields(Io& io) {
+  io(records_, count_, first_ts_, last_ts_);
+  CkptReject(io, records_.size() > static_cast<size_t>(page_size_),
+             "page builder restore: records exceed page size");
 }
-
-Status PageBuilder::LoadCkpt(ByteReader& r) {
-  CKPT_READ(r, records_);
-  CKPT_READ(r, count_);
-  CKPT_READ(r, first_ts_);
-  CKPT_READ(r, last_ts_);
-  if (records_.size() > static_cast<size_t>(page_size_)) {
-    return DataLossError("page builder restore: records exceed page size");
-  }
-  return OkStatus();
-}
+PRESTO_CKPT_FIELDS(PageBuilder);
 
 }  // namespace presto

@@ -59,8 +59,8 @@ class PageBuilder {
 
   // Checkpoint codec for the partially filled RAM page (page_size_ is construction
   // config and not serialized).
-  void SaveCkpt(ByteWriter& w) const;
-  Status LoadCkpt(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   std::vector<uint8_t> EncodeRecord(SimTime t, double value) const;

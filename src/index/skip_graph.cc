@@ -222,52 +222,40 @@ bool SkipGraph::CheckInvariants() const {
 
 namespace presto {
 
-void SkipGraph::SaveState(ByteWriter& w) const {
-  CkptWrite(w, rng_);
-  w.WriteVarU64(nodes_.size());
-  for (const auto& [key, node] : nodes_) {
-    CkptWrite(w, key);
-    CkptWrite(w, node->value);
-    CkptWrite(w, node->membership);
-    CkptWrite(w, static_cast<uint64_t>(node->Height()));
+template <typename Io>
+void SkipGraph::CkptFields(Io& io) {
+  io(rng_);
+  CkptMapSeq(io, nodes_, [&io](uint64_t& key, std::unique_ptr<Node>& node) {
+    if constexpr (Io::kLoading) {
+      node = std::make_unique<Node>();
+    }
+    uint64_t height = node->left.size();
+    io(key, node->value, node->membership, height);
+    if constexpr (Io::kLoading) {
+      CkptReject(io, height == 0 || height > 64, "skip graph restore: bad node height");
+      node->key = key;
+      node->left.assign(io.ok() ? static_cast<size_t>(height) : 0, nullptr);
+      node->right.assign(node->left.size(), nullptr);
+    }
+  });
+  if constexpr (Io::kLoading) {
+    if (io.ok()) {
+      Relink();
+    }
   }
 }
+PRESTO_CKPT_FIELDS(SkipGraph);
 
-Status SkipGraph::LoadState(ByteReader& r) {
-  CKPT_READ(r, rng_);
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("skip graph restore: node count exceeds section bytes");
-  }
-  nodes_.clear();
+void SkipGraph::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status SkipGraph::LoadState(ByteReader& r) { return CkptRead(r, *this); }
+
+void SkipGraph::Relink() {
   int max_height = 0;
-  for (uint64_t i = 0; i < *count; ++i) {
-    uint64_t key = 0;
-    uint64_t value = 0;
-    uint64_t membership = 0;
-    uint64_t height = 0;
-    CKPT_READ(r, key);
-    CKPT_READ(r, value);
-    CKPT_READ(r, membership);
-    CKPT_READ(r, height);
-    if (height == 0 || height > 64) {
-      return DataLossError("skip graph restore: bad node height");
-    }
-    auto node = std::make_unique<Node>();
-    node->key = key;
-    node->value = value;
-    node->membership = membership;
-    node->left.assign(static_cast<size_t>(height), nullptr);
-    node->right.assign(static_cast<size_t>(height), nullptr);
-    max_height = std::max(max_height, static_cast<int>(height));
-    if (!nodes_.emplace(key, std::move(node)).second) {
-      return DataLossError("skip graph restore: duplicate key");
-    }
+  for (const auto& [key, node] : nodes_) {
+    (void)key;
+    max_height = std::max(max_height, node->Height());
   }
-  // Relink: the level-L lists partition {nodes with Height > L} by the low L bits of
+  // The level-L lists partition {nodes with Height > L} by the low L bits of
   // membership, sorted by key — the exact structure Insert/Erase maintain.
   for (int level = 0; level < max_height; ++level) {
     const uint64_t mask = level == 0 ? 0 : (1ULL << level) - 1;
@@ -286,7 +274,6 @@ Status SkipGraph::LoadState(ByteReader& r) {
       }
     }
   }
-  return OkStatus();
 }
 
 }  // namespace presto

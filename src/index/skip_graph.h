@@ -65,6 +65,8 @@ class SkipGraph {
   // membership, height) per node plus the RNG rebuild the structure exactly.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   struct Node {
@@ -89,6 +91,8 @@ class SkipGraph {
   Node* EntryNode() const;
   // Level-0 floor search starting at `from`, counting hops.
   Node* FloorSearch(uint64_t key, int* hops) const;
+  // Rebuilds every level's links from key order and membership (restore).
+  void Relink();
 
   mutable Pcg32 rng_;
   std::map<uint64_t, std::unique_ptr<Node>> nodes_;  // ownership + O(log n) local access

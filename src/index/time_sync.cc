@@ -105,28 +105,22 @@ Result<double> RegressionTimeSync::ResidualRms() const {
 
 namespace presto {
 
-void DriftingClock::SaveState(ByteWriter& w) const { CkptWrite(w, rng_); }
-
-Status DriftingClock::LoadState(ByteReader& r) {
-  CKPT_READ(r, rng_);
-  return OkStatus();
+template <typename Io>
+void DriftingClock::CkptFields(Io& io) {
+  io(rng_);
 }
+PRESTO_CKPT_FIELDS(DriftingClock);
 
-void RegressionTimeSync::SaveState(ByteWriter& w) const {
-  CkptWrite(w, locals_);
-  CkptWrite(w, references_);
-  CkptWrite(w, fit_valid_);
-  CkptWrite(w, intercept_);
-  CkptWrite(w, slope_);
-}
+void DriftingClock::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status DriftingClock::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
-Status RegressionTimeSync::LoadState(ByteReader& r) {
-  CKPT_READ(r, locals_);
-  CKPT_READ(r, references_);
-  CKPT_READ(r, fit_valid_);
-  CKPT_READ(r, intercept_);
-  CKPT_READ(r, slope_);
-  return OkStatus();
+template <typename Io>
+void RegressionTimeSync::CkptFields(Io& io) {
+  io(locals_, references_, fit_valid_, intercept_, slope_);
 }
+PRESTO_CKPT_FIELDS(RegressionTimeSync);
+
+void RegressionTimeSync::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status RegressionTimeSync::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

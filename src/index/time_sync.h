@@ -39,6 +39,8 @@ class DriftingClock {
   // Checkpoint codec: only the jitter RNG is dynamic state.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   Duration offset_;
@@ -75,6 +77,8 @@ class RegressionTimeSync {
   // Checkpoint codec: beacon window and the fitted line.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   Status Refit();

@@ -320,51 +320,26 @@ int64_t SeasonalArModel::FitCostOps(size_t history_len) const {
   return static_cast<int64_t>(history_len) * (p + 6) + p * p * p;
 }
 
-void ArCore::SaveCkpt(ByteWriter& w) const {
-  CkptWrite(w, sample_period);
-  CkptWrite(w, max_forecast_steps);
-  CkptWrite(w, phi);
-  CkptWrite(w, mean);
-  CkptWrite(w, innovation_std);
-  CkptWrite(w, marginal_std);
-  CkptWrite(w, state);
-  CkptWrite(w, state_time);
-  CkptWrite(w, horizon_std);
+template <typename Io>
+void ArCore::CkptFields(Io& io) {
+  io(sample_period, max_forecast_steps, phi, mean, innovation_std, marginal_std, state,
+     state_time, horizon_std);
 }
 
-Status ArCore::LoadCkpt(ByteReader& r) {
-  CKPT_READ(r, sample_period);
-  CKPT_READ(r, max_forecast_steps);
-  CKPT_READ(r, phi);
-  CKPT_READ(r, mean);
-  CKPT_READ(r, innovation_std);
-  CKPT_READ(r, marginal_std);
-  CKPT_READ(r, state);
-  CKPT_READ(r, state_time);
-  CKPT_READ(r, horizon_std);
-  return OkStatus();
+template <typename Io>
+void ArModel::CkptFields(Io& io) {
+  io(fitted_, core_);
 }
 
-void ArModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  core_.SaveCkpt(w);
+void ArModel::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status ArModel::LoadState(ByteReader& r) { return CkptRead(r, *this); }
+
+template <typename Io>
+void SeasonalArModel::CkptFields(Io& io) {
+  io(fitted_, bins_, core_);
 }
 
-Status ArModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  return core_.LoadCkpt(r);
-}
-
-void SeasonalArModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  bins_.SaveCkpt(w);
-  core_.SaveCkpt(w);
-}
-
-Status SeasonalArModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  PRESTO_RETURN_IF_ERROR(bins_.LoadCkpt(r));
-  return core_.LoadCkpt(r);
-}
+void SeasonalArModel::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status SeasonalArModel::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

@@ -51,8 +51,8 @@ struct ArCore {
   Status DeserializeFrom(ByteReader* r);
 
   // Full-precision checkpoint codec (the wire form above rounds through f32).
-  void SaveCkpt(ByteWriter& w) const;
-  Status LoadCkpt(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
   int64_t ForecastCostOps(SimTime t) const;
 
@@ -79,6 +79,8 @@ class ArModel : public PredictiveModel {
   }
   void SaveState(ByteWriter& w) const override;
   Status LoadState(ByteReader& r) override;
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   ModelConfig config_;
@@ -104,6 +106,8 @@ class SeasonalArModel : public PredictiveModel {
   }
   void SaveState(ByteWriter& w) const override;
   Status LoadState(ByteReader& r) override;
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   ModelConfig config_;

@@ -316,34 +316,27 @@ int64_t MarkovModel::FitCostOps(size_t history_len) const {
   return static_cast<int64_t>(history_len) * k + k * k * k * kMaxPowerBits;
 }
 
-void MarkovModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  CkptWrite(w, anchored_);
-  CkptWrite(w, centers_);
-  CkptWrite(w, trans_);
-  CkptWrite(w, marginal_);
-  CkptWrite(w, bin_half_width_);
-  CkptWrite(w, anchor_state_);
-  CkptWrite(w, anchor_time_);
+template <typename Io>
+void MarkovModel::CkptFields(Io& io) {
+  io(fitted_, anchored_, centers_, trans_, marginal_, bin_half_width_, anchor_state_,
+     anchor_time_);
+  if constexpr (Io::kLoading) {
+    bool square = trans_.size() == centers_.size();
+    for (const std::vector<double>& row : trans_) {
+      square = square && row.size() == trans_.size();
+    }
+    CkptReject(io, !square, "markov restore: transition matrix is not states x states");
+    // The binary-power cache is a pure function of the transition matrix; rebuild
+    // it rather than shipping O(states^2 log horizon) doubles in every checkpoint.
+    if (fitted_ && io.ok()) {
+      BuildPowerCache();
+    } else {
+      power_cache_.clear();
+    }
+  }
 }
 
-Status MarkovModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  CKPT_READ(r, anchored_);
-  CKPT_READ(r, centers_);
-  CKPT_READ(r, trans_);
-  CKPT_READ(r, marginal_);
-  CKPT_READ(r, bin_half_width_);
-  CKPT_READ(r, anchor_state_);
-  CKPT_READ(r, anchor_time_);
-  // The binary-power cache is a pure function of the transition matrix; rebuild it
-  // rather than shipping O(states^2 log horizon) doubles in every checkpoint.
-  if (fitted_) {
-    BuildPowerCache();
-  } else {
-    power_cache_.clear();
-  }
-  return OkStatus();
-}
+void MarkovModel::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status MarkovModel::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

@@ -27,6 +27,8 @@ class MarkovModel : public PredictiveModel {
   }
   void SaveState(ByteWriter& w) const override;
   Status LoadState(ByteReader& r) override;
+  template <typename Io>
+  void CkptFields(Io& io);
 
   int num_states() const { return static_cast<int>(centers_.size()); }
 

@@ -107,6 +107,25 @@ void SaveModelState(ByteWriter& w, const PredictiveModel* model);
 Result<std::unique_ptr<PredictiveModel>> LoadModelState(ByteReader& r,
                                                         const ModelConfig& config);
 
+// An installed (possibly null) model as one checkpoint field.
+template <typename Io>
+void CkptModel(Io& io, std::unique_ptr<PredictiveModel>& model,
+               const ModelConfig& config) {
+  if constexpr (Io::kLoading) {
+    if (!io.ok()) {
+      return;
+    }
+    auto loaded = LoadModelState(io.reader(), config);
+    if (loaded.ok()) {
+      model = std::move(*loaded);
+    } else {
+      io.Fail(loaded.status());
+    }
+  } else {
+    SaveModelState(io.writer(), model.get());
+  }
+}
+
 }  // namespace presto
 
 #endif  // SRC_MODELS_MODEL_H_

@@ -222,46 +222,26 @@ void LastValueModel::OnAnchor(const Sample& sample) {
   anchored_ = true;
 }
 
-void SeasonalBins::SaveCkpt(ByteWriter& w) const {
-  CkptWrite(w, period);
-  CkptWrite(w, means);
-  CkptWrite(w, stddevs);
+template <typename Io>
+void SeasonalBins::CkptFields(Io& io) {
+  io(period, means, stddevs);
+}
+PRESTO_CKPT_FIELDS(SeasonalBins);
+
+template <typename Io>
+void SeasonalModel::CkptFields(Io& io) {
+  io(fitted_, bins_);
 }
 
-Status SeasonalBins::LoadCkpt(ByteReader& r) {
-  CKPT_READ(r, period);
-  CKPT_READ(r, means);
-  CKPT_READ(r, stddevs);
-  return OkStatus();
+void SeasonalModel::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status SeasonalModel::LoadState(ByteReader& r) { return CkptRead(r, *this); }
+
+template <typename Io>
+void LastValueModel::CkptFields(Io& io) {
+  io(fitted_, anchored_, mean_, marginal_stddev_, step_stddev_, anchor_);
 }
 
-void SeasonalModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  bins_.SaveCkpt(w);
-}
-
-Status SeasonalModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  return bins_.LoadCkpt(r);
-}
-
-void LastValueModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  CkptWrite(w, anchored_);
-  CkptWrite(w, mean_);
-  CkptWrite(w, marginal_stddev_);
-  CkptWrite(w, step_stddev_);
-  CkptWrite(w, anchor_);
-}
-
-Status LastValueModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  CKPT_READ(r, anchored_);
-  CKPT_READ(r, mean_);
-  CKPT_READ(r, marginal_stddev_);
-  CKPT_READ(r, step_stddev_);
-  CKPT_READ(r, anchor_);
-  return OkStatus();
-}
+void LastValueModel::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status LastValueModel::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

@@ -30,8 +30,8 @@ struct SeasonalBins {
   Status DeserializeFrom(ByteReader* r);
 
   // Full-precision checkpoint codec (the wire form above rounds through f32).
-  void SaveCkpt(ByteWriter& w) const;
-  Status LoadCkpt(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 };
 
 // Pure seasonal predictor: Predict(t) = bin mean. Stateless across anchors (an anchor
@@ -55,6 +55,8 @@ class SeasonalModel : public PredictiveModel {
   }
   void SaveState(ByteWriter& w) const override;
   Status LoadState(ByteReader& r) override;
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   ModelConfig config_;
@@ -84,6 +86,8 @@ class LastValueModel : public PredictiveModel {
   }
   void SaveState(ByteWriter& w) const override;
   Status LoadState(ByteReader& r) override;
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   ModelConfig config_;

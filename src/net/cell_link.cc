@@ -30,21 +30,13 @@ SimTime CellLink::Deliver(SimTime send_time, size_t bytes) {
   return clear_at_ + params_.latency;
 }
 
-void CellLink::SaveState(ByteWriter& w) const {
-  CkptWrite(w, clear_at_);
-  CkptWrite(w, stats_.messages);
-  CkptWrite(w, stats_.bytes);
-  CkptWrite(w, stats_.queued);
-  CkptWrite(w, stats_.busy);
+template <typename Io>
+void CellLink::CkptFields(Io& io) {
+  io(clear_at_, stats_.messages, stats_.bytes, stats_.queued, stats_.busy);
 }
+PRESTO_CKPT_FIELDS(CellLink);
 
-Status CellLink::LoadState(ByteReader& r) {
-  CKPT_READ(r, clear_at_);
-  CKPT_READ(r, stats_.messages);
-  CKPT_READ(r, stats_.bytes);
-  CKPT_READ(r, stats_.queued);
-  CKPT_READ(r, stats_.busy);
-  return OkStatus();
-}
+void CellLink::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status CellLink::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

@@ -59,6 +59,8 @@ class CellLink {
   // Checkpoint codec: the serialization clock and counters.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   CellLinkParams params_;

@@ -149,29 +149,6 @@ Result<FedFrame> DecodeFedFrame(span<const uint8_t> data) {
   return frame;
 }
 
-void CkptWrite(ByteWriter& w, const FedMail& v) {
-  CkptWrite(w, v.source_cell);
-  CkptWrite(w, v.target_cell);
-  CkptWrite(w, v.time);
-  CkptWrite(w, v.op);
-  CkptWrite(w, v.qid);
-  w.WriteBytes(span<const uint8_t>(v.body));
-}
-
-Status CkptRead(ByteReader& r, FedMail& v) {
-  CKPT_READ(r, v.source_cell);
-  CKPT_READ(r, v.target_cell);
-  CKPT_READ(r, v.time);
-  CKPT_READ(r, v.op);
-  CKPT_READ(r, v.qid);
-  auto body = r.ReadBytes();
-  if (!body.ok()) {
-    return body.status();
-  }
-  v.body = std::move(*body);
-  return OkStatus();
-}
-
 void WriteCellBitmap(ByteWriter& w, const std::vector<uint8_t>& flags) {
   w.WriteVarU64(flags.size());
   BitWriter bits;
@@ -195,6 +172,9 @@ Status ReadCellBitmap(ByteReader& r, size_t num_cells, std::vector<uint8_t>* fla
   }
   if (packed->size() != (num_cells + 7) / 8) {
     return DataLossError("fed_wire: cell bitmap byte count mismatch");
+  }
+  if (num_cells % 8 != 0 && (packed->back() >> (num_cells % 8)) != 0) {
+    return DataLossError("fed_wire: cell bitmap padding bits set");
   }
   BitReader bits(*packed);
   flags->assign(num_cells, 0);
@@ -294,21 +274,13 @@ Result<int> TcpConnect(const char* host, uint16_t port, Duration deadline) {
 
 std::vector<uint8_t> EncodeFedHello(const FedHello& hello) {
   ByteWriter w;
-  w.WriteU8(hello.version);
-  CkptWrite(w, hello.worker_index);
-  CkptWrite(w, hello.num_workers);
+  CkptWrite(w, hello);
   return w.TakeBuffer();
 }
 
 Status DecodeFedHello(span<const uint8_t> payload, FedHello* hello) {
   ByteReader r(payload);
-  auto version = r.ReadU8();
-  if (!version.ok()) {
-    return version.status();
-  }
-  hello->version = *version;
-  CKPT_READ(r, hello->worker_index);
-  CKPT_READ(r, hello->num_workers);
+  PRESTO_RETURN_IF_ERROR(CkptRead(r, *hello));
   if (!r.AtEnd()) {
     return DataLossError("fed_wire: trailing bytes after hello");
   }

@@ -95,15 +95,30 @@ struct FedMail {
   uint64_t op = 0;
   uint64_t qid = 0;
   std::vector<uint8_t> body;
+
+  template <typename Io>
+  void CkptFields(Io& io) {
+    io(source_cell, target_cell, time, op, qid, body);
+  }
 };
 
-void CkptWrite(ByteWriter& w, const FedMail& v);
-Status CkptRead(ByteReader& r, FedMail& v);
-
 // Cell-down flags as a bit-packed map (BitWriter, one bit per cell), length
-// prefixed. Broadcast in kCkptLoad and folded into bootstrap-time restores.
+// prefixed. Broadcast in kCkptLoad and folded into bootstrap-time restores. The
+// reader requires exactly `num_cells` flags and zero padding bits.
 void WriteCellBitmap(ByteWriter& w, const std::vector<uint8_t>& flags);
 Status ReadCellBitmap(ByteReader& r, size_t num_cells, std::vector<uint8_t>* flags);
+
+// The bitmap as one checkpoint field.
+template <typename Io>
+void CkptCellBitmap(Io& io, std::vector<uint8_t>& flags, size_t num_cells) {
+  if constexpr (Io::kLoading) {
+    if (io.ok()) {
+      io.Fail(ReadCellBitmap(io.reader(), num_cells, &flags));
+    }
+  } else {
+    WriteCellBitmap(io.writer(), flags);
+  }
+}
 
 // --- TCP transport (multi-machine federation) ---------------------------------
 //
@@ -135,6 +150,12 @@ struct FedHello {
   uint8_t version = kFedWireVersion;
   int worker_index = 0;
   int num_workers = 1;
+
+  template <typename Io>
+  void CkptFields(Io& io) {
+    io.U8(version);
+    io(worker_index, num_workers);
+  }
 };
 
 std::vector<uint8_t> EncodeFedHello(const FedHello& hello);

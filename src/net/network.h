@@ -189,8 +189,8 @@ class Network : public EventSink {
   const NetworkParams& params() const { return params_; }
 
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
-  void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                       const EventHandle& handle, int lane) override;
+  Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                         const EventHandle& handle, int lane) override;
 
   // Checkpoint: per-node radio state (down/lane/busy/listen windows/energy
   // checkpoints/stats), link tables, and every lane context (rng stream, stats,
@@ -199,6 +199,8 @@ class Network : public EventSink {
   // flush handles are re-captured via OnEventRestored. Control context only.
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   struct NodeState {
@@ -221,11 +223,21 @@ class Network : public EventSink {
     uint16_t type = 0;
     std::vector<uint8_t> payload;
     SimTime enqueued_at = 0;
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(type, payload, enqueued_at);
+    }
   };
   struct PendingBatch {
     std::vector<QueuedMessage> queued;
-    EventHandle flush;
+    EventHandle flush;  // stale after restore until OnEventRestored re-captures it
     SimTime flush_at = 0;  // absolute flush time (preserved across lane re-binds)
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(flush_at, queued);
+    }
   };
   // Everything a concurrently executing lane mutates, sharded per lane so parallel
   // execution shares nothing: loss/rendezvous draws, aggregate counters, coalescing

@@ -73,6 +73,8 @@ class PredictionEngine {
   // bookkeeping and the push-rate window.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   // Resamples history onto the model's sampling grid (linear interpolation), because

@@ -81,16 +81,14 @@ void ProxyNode::SetReplicaTargets(NodeId sensor_id, std::vector<NodeId> targets)
 void ProxyNode::SendStateSnapshot(NodeId sensor_id, NodeId to_proxy, Duration history) {
   SensorState& sensor = GetSensor(sensor_id);
   const SimTime now = sim_->Now();
-  const std::vector<Sample> recent =
+  std::vector<Sample> recent =
       sensor.cache.Range(TimeInterval{now - history, now + 1});
   // One serialization path with checkpointing: the snapshot payload is a
   // checkpoint-codec blob (exact f64 samples + the full-precision model), so the
   // transferred bytes the network stats charge are exactly the bytes this state costs
   // in a checkpoint section.
   ByteWriter w;
-  CkptWrite(w, sensor_id);
-  CkptWrite(w, recent);
-  CkptWrite(w, config_.default_tolerance);
+  CkptWrite(w, StateSnapshot{sensor_id, std::move(recent), config_.default_tolerance});
   SaveModelState(w, sensor.engine.model());
   net_->SendBatched(config_.id, to_proxy,
                     static_cast<uint16_t>(MsgType::kStateSnapshot), w.TakeBuffer());
@@ -952,27 +950,19 @@ namespace presto {
 
 void ProxyNode::HandleStateSnapshot(const Message& message) {
   ByteReader r{span<const uint8_t>(message.payload)};
-  NodeId sensor_id = 0;
-  std::vector<Sample> samples;
-  double tolerance = 0.0;
-  const Status parsed = [&]() -> Status {
-    CKPT_READ(r, sensor_id);
-    CKPT_READ(r, samples);
-    CKPT_READ(r, tolerance);
-    return OkStatus();
-  }();
-  (void)tolerance;  // informational; the receiver keeps its own default_tolerance
+  StateSnapshot snapshot;
+  const Status parsed = CkptRead(r, snapshot);
   if (!parsed.ok()) {
     PLOG_WARN("proxy %u: bad state snapshot: %s", config_.id,
               parsed.ToString().c_str());
     return;
   }
-  auto it = sensors_.find(sensor_id);
+  auto it = sensors_.find(snapshot.sensor_id);
   if (it == sensors_.end()) {
     return;  // shard moved on while the snapshot was in flight
   }
   SensorState& sensor = *it->second;
-  for (const Sample& s : samples) {
+  for (const Sample& s : snapshot.samples) {
     sensor.cache.Insert(s.t, s.value, CacheSource::kPushed, sim_->Now());
   }
   auto model = LoadModelState(r, config_.engine.model_config);
@@ -986,236 +976,53 @@ void ProxyNode::HandleStateSnapshot(const Message& message) {
   }
 }
 
-void ProxyNode::OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                                const EventHandle& handle, int lane) {
+Status ProxyNode::OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                                  const EventHandle& handle, int lane) {
   (void)t;
   (void)lane;
   if (kind != EventKind::kQuery || payload.b == 1) {
-    return;  // backfill drain ticks re-fire without a retained handle
+    return OkStatus();  // backfill drain ticks re-fire without a retained handle
   }
   auto it = pending_pulls_.find(static_cast<uint32_t>(payload.a));
   if (it != pending_pulls_.end()) {
     it->second.timeout = handle;
   }
-}
-
-Status ProxyNode::SaveState(ByteWriter& w) const {
-  const auto save_origin = [&w](const QueryOrigin& o) -> Status {
-    if (o.kind == QueryOrigin::Kind::kClosure) {
-      return FailedPreconditionError(
-          "proxy checkpoint: closure-form pull pending (use the token query API)");
-    }
-    CkptWrite(w, o.kind);
-    CkptWrite(w, o.token);
-    return OkStatus();
-  };
-  CkptWrite(w, lane_);
-  maintenance_timer_.SaveState(w);
-  w.WriteVarU64(sensors_.size());
-  for (const auto& [id, sensor] : sensors_) {
-    CkptWrite(w, id);
-    CkptWrite(w, sensor->is_replica);
-    CkptWrite(w, sensor->sensing_period);
-    sensor->cache.SaveState(w);
-    sensor->engine.SaveState(w);
-    sensor->sync.SaveState(w);
-    sensor->matcher.SaveState(w);
-    CkptWrite(w, sensor->model_sent);
-    CkptWrite(w, sensor->last_model_send);
-    CkptWrite(w, sensor->last_push);
-    CkptWrite(w, sensor->replica_targets);
-    CkptWrite(w, sensor->window_queries);
-    CkptWrite(w, sensor->window_pushes);
-  }
-  w.WriteVarU64(pending_pulls_.size());
-  for (const auto& [id, pull] : pending_pulls_) {
-    (void)id;
-    CkptWrite(w, pull.id);
-    CkptWrite(w, pull.sensor_id);
-    CkptWrite(w, pull.is_now);
-    CkptWrite(w, pull.range);
-    CkptWrite(w, pull.tolerance);
-    CkptWrite(w, pull.issued_at);
-    CkptWrite(w, pull.request_bytes);
-    PRESTO_RETURN_IF_ERROR(save_origin(pull.origin));
-    w.WriteVarU64(pull.riders.size());
-    for (const PullRider& rider : pull.riders) {
-      CkptWrite(w, rider.is_now);
-      CkptWrite(w, rider.range);
-      CkptWrite(w, rider.issued_at);
-      PRESTO_RETURN_IF_ERROR(save_origin(rider.origin));
-    }
-  }
-  w.WriteVarU64(backfill_queue_.size());
-  for (const BackfillRequest& req : backfill_queue_) {
-    CkptWrite(w, req.sensor_id);
-    CkptWrite(w, req.horizon);
-  }
-  CkptWrite(w, backfill_drain_pending_);
-  CkptWrite(w, next_pull_id_);
-  CkptWrite(w, stats_.pushes_received);
-  CkptWrite(w, stats_.push_samples);
-  CkptWrite(w, stats_.queries);
-  CkptWrite(w, stats_.cache_hits);
-  CkptWrite(w, stats_.extrapolations);
-  CkptWrite(w, stats_.pulls);
-  CkptWrite(w, stats_.coalesced_pulls);
-  CkptWrite(w, stats_.pull_timeouts);
-  CkptWrite(w, stats_.failures);
-  CkptWrite(w, stats_.degraded_answers);
-  CkptWrite(w, stats_.model_sends);
-  CkptWrite(w, stats_.config_sends);
-  CkptWrite(w, stats_.replica_updates);
-  CkptWrite(w, stats_.promotions);
-  CkptWrite(w, stats_.demotions);
-  CkptWrite(w, stats_.snapshots_sent);
-  CkptWrite(w, stats_.backfill_pulls);
-  CkptWrite(w, stats_.now_latency_ms);
-  CkptWrite(w, stats_.past_latency_ms);
   return OkStatus();
 }
 
-Status ProxyNode::LoadState(ByteReader& r) {
-  const auto read_origin = [&r](QueryOrigin& o) -> Status {
-    CKPT_READ(r, o.kind);
-    CKPT_READ(r, o.token);
-    if (o.kind == QueryOrigin::Kind::kClosure) {
-      return DataLossError("proxy restore: closure origin in checkpoint");
+template <typename Io>
+void ProxyNode::CkptFields(Io& io) {
+  io(lane_, maintenance_timer_);
+  CkptReject(io, !sim_->IsLane(lane_), "proxy restore: lane out of range");
+  CkptMapSeq(io, sensors_, [&](NodeId& id, std::unique_ptr<SensorState>& sensor) {
+    io(id);
+    if constexpr (Io::kLoading) {
+      sensor =
+          std::make_unique<SensorState>(id, Seconds(31), config_.engine, config_.matcher);
     }
-    return OkStatus();
-  };
-  CKPT_READ(r, lane_);
-  PRESTO_RETURN_IF_ERROR(maintenance_timer_.LoadState(r));
-  auto sensor_count = r.ReadVarU64();
-  if (!sensor_count.ok()) {
-    return sensor_count.status();
-  }
-  if (*sensor_count > r.remaining()) {
-    return DataLossError("proxy restore: sensor count exceeds section bytes");
-  }
-  sensors_.clear();
-  for (uint64_t i = 0; i < *sensor_count; ++i) {
-    NodeId id = 0;
-    CKPT_READ(r, id);
-    auto sensor =
-        std::make_unique<SensorState>(id, Seconds(31), config_.engine, config_.matcher);
-    CKPT_READ(r, sensor->is_replica);
-    CKPT_READ(r, sensor->sensing_period);
-    PRESTO_RETURN_IF_ERROR(sensor->cache.LoadState(r));
-    PRESTO_RETURN_IF_ERROR(sensor->engine.LoadState(r));
-    PRESTO_RETURN_IF_ERROR(sensor->sync.LoadState(r));
-    PRESTO_RETURN_IF_ERROR(sensor->matcher.LoadState(r));
-    CKPT_READ(r, sensor->model_sent);
-    CKPT_READ(r, sensor->last_model_send);
-    CKPT_READ(r, sensor->last_push);
-    CKPT_READ(r, sensor->replica_targets);
-    CKPT_READ(r, sensor->window_queries);
-    CKPT_READ(r, sensor->window_pushes);
-    sensors_.emplace(id, std::move(sensor));
-  }
-  auto pull_count = r.ReadVarU64();
-  if (!pull_count.ok()) {
-    return pull_count.status();
-  }
-  if (*pull_count > r.remaining()) {
-    return DataLossError("proxy restore: pull count exceeds section bytes");
-  }
-  pending_pulls_.clear();
-  for (uint64_t i = 0; i < *pull_count; ++i) {
-    PendingPull pull;
-    CKPT_READ(r, pull.id);
-    CKPT_READ(r, pull.sensor_id);
-    CKPT_READ(r, pull.is_now);
-    CKPT_READ(r, pull.range);
-    CKPT_READ(r, pull.tolerance);
-    CKPT_READ(r, pull.issued_at);
-    CKPT_READ(r, pull.request_bytes);
-    PRESTO_RETURN_IF_ERROR(read_origin(pull.origin));
-    auto rider_count = r.ReadVarU64();
-    if (!rider_count.ok()) {
-      return rider_count.status();
+    io(sensor->is_replica, sensor->sensing_period, sensor->cache, sensor->engine,
+       sensor->sync, sensor->matcher, sensor->model_sent, sensor->last_model_send,
+       sensor->last_push, sensor->replica_targets, sensor->window_queries,
+       sensor->window_pushes);
+  });
+  CkptMapSeq(io, pending_pulls_, [&io](uint32_t& id, PendingPull& pull) {
+    io(pull);
+    if constexpr (Io::kLoading) {
+      id = pull.id;
     }
-    if (*rider_count > r.remaining()) {
-      return DataLossError("proxy restore: rider count exceeds section bytes");
-    }
-    for (uint64_t j = 0; j < *rider_count; ++j) {
-      PullRider rider;
-      CKPT_READ(r, rider.is_now);
-      CKPT_READ(r, rider.range);
-      CKPT_READ(r, rider.issued_at);
-      PRESTO_RETURN_IF_ERROR(read_origin(rider.origin));
-      pull.riders.push_back(std::move(rider));
-    }
-    pull.timeout = EventHandle();  // re-captured via OnEventRestored
-    const uint32_t id = pull.id;
-    pending_pulls_.emplace(id, std::move(pull));
-  }
-  auto backfill_count = r.ReadVarU64();
-  if (!backfill_count.ok()) {
-    return backfill_count.status();
-  }
-  if (*backfill_count > r.remaining()) {
-    return DataLossError("proxy restore: backfill count exceeds section bytes");
-  }
-  backfill_queue_.clear();
-  for (uint64_t i = 0; i < *backfill_count; ++i) {
-    BackfillRequest req;
-    CKPT_READ(r, req.sensor_id);
-    CKPT_READ(r, req.horizon);
-    backfill_queue_.push_back(req);
-  }
-  CKPT_READ(r, backfill_drain_pending_);
-  CKPT_READ(r, next_pull_id_);
-  CKPT_READ(r, stats_.pushes_received);
-  CKPT_READ(r, stats_.push_samples);
-  CKPT_READ(r, stats_.queries);
-  CKPT_READ(r, stats_.cache_hits);
-  CKPT_READ(r, stats_.extrapolations);
-  CKPT_READ(r, stats_.pulls);
-  CKPT_READ(r, stats_.coalesced_pulls);
-  CKPT_READ(r, stats_.pull_timeouts);
-  CKPT_READ(r, stats_.failures);
-  CKPT_READ(r, stats_.degraded_answers);
-  CKPT_READ(r, stats_.model_sends);
-  CKPT_READ(r, stats_.config_sends);
-  CKPT_READ(r, stats_.replica_updates);
-  CKPT_READ(r, stats_.promotions);
-  CKPT_READ(r, stats_.demotions);
-  CKPT_READ(r, stats_.snapshots_sent);
-  CKPT_READ(r, stats_.backfill_pulls);
-  CKPT_READ(r, stats_.now_latency_ms);
-  CKPT_READ(r, stats_.past_latency_ms);
-  return OkStatus();
+  });
+  io(backfill_queue_, backfill_drain_pending_, next_pull_id_);
+  io(stats_.pushes_received, stats_.push_samples, stats_.queries, stats_.cache_hits,
+     stats_.extrapolations, stats_.pulls, stats_.coalesced_pulls, stats_.pull_timeouts,
+     stats_.failures, stats_.degraded_answers, stats_.model_sends, stats_.config_sends,
+     stats_.replica_updates, stats_.promotions, stats_.demotions, stats_.snapshots_sent,
+     stats_.backfill_pulls, stats_.now_latency_ms, stats_.past_latency_ms);
 }
+
+PRESTO_CKPT_FIELDS(ProxyNode);
+
+Status ProxyNode::SaveState(ByteWriter& w) const { return CkptSave(w, *this); }
+Status ProxyNode::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto
 
-namespace presto {
-
-void CkptWrite(ByteWriter& w, const QueryAnswer& answer) {
-  CkptWrite(w, answer.status);
-  CkptWrite(w, answer.source);
-  CkptWrite(w, answer.samples);
-  CkptWrite(w, answer.value);
-  CkptWrite(w, answer.error_estimate);
-  CkptWrite(w, answer.energy_j);
-  CkptWrite(w, answer.issued_at);
-  CkptWrite(w, answer.completed_at);
-}
-
-Status CkptRead(ByteReader& r, QueryAnswer& answer) {
-  CKPT_READ(r, answer.status);
-  CKPT_READ(r, answer.source);
-  if (static_cast<uint8_t>(answer.source) > static_cast<uint8_t>(AnswerSource::kFailed)) {
-    return DataLossError("query answer restore: source out of range");
-  }
-  CKPT_READ(r, answer.samples);
-  CKPT_READ(r, answer.value);
-  CKPT_READ(r, answer.error_estimate);
-  CKPT_READ(r, answer.energy_j);
-  CKPT_READ(r, answer.issued_at);
-  CKPT_READ(r, answer.completed_at);
-  return OkStatus();
-}
-
-}  // namespace presto

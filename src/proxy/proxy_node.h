@@ -48,6 +48,7 @@ enum class AnswerSource : uint8_t {
   kSensorPull = 2,
   kFailed = 3,
 };
+constexpr uint64_t CkptEnumMax(AnswerSource) { return 3; }
 
 const char* AnswerSourceName(AnswerSource source);
 
@@ -67,9 +68,12 @@ struct QueryAnswer {
   Duration Latency() const { return completed_at - issued_at; }
 };
 
-// Checkpoint codec for answers parked in pending store/federation queries.
-void CkptWrite(ByteWriter& w, const QueryAnswer& answer);
-Status CkptRead(ByteReader& r, QueryAnswer& answer);
+// Checkpoint field list of answers parked in pending store/federation queries.
+template <typename Io>
+void CkptFields(Io& io, QueryAnswer& answer) {
+  io(answer.status, answer.source, answer.samples, answer.value, answer.error_estimate,
+     answer.energy_j, answer.issued_at, answer.completed_at);
+}
 
 using QueryCallback = std::function<void(const QueryAnswer&)>;
 
@@ -200,8 +204,8 @@ class ProxyNode : public NetNode, public EventSink {
   // Pull timeouts (payload.b == 0, payload.a = pull id) and backfill drain ticks
   // (payload.b == 1), both EventKind::kQuery.
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
-  void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                       const EventHandle& handle, int lane) override;
+  Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                         const EventHandle& handle, int lane) override;
 
   // Checkpoint codec: per-sensor state (cache, engine, sync, matcher), pending pulls
   // (token/no-op origins only — closure-form pulls fail the save), backfill queue,
@@ -209,6 +213,8 @@ class ProxyNode : public NetNode, public EventSink {
   // config; pull-timeout handles are re-captured via OnEventRestored.
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
   // Introspection for benches and the unified store.
   const ProxyStats& stats() const { return stats_; }
@@ -260,9 +266,20 @@ class ProxyNode : public NetNode, public EventSink {
   // while pending.
   struct QueryOrigin {
     enum class Kind : uint8_t { kNone = 0, kClosure = 1, kToken = 2 };
+    friend constexpr uint64_t CkptEnumMax(Kind) { return 2; }
     Kind kind = Kind::kNone;
     uint64_t token = 0;
     QueryCallback closure;
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      if (!Io::kLoading && kind == Kind::kClosure) {
+        io.Fail(FailedPreconditionError(
+            "proxy checkpoint: closure-form pull pending (use the token query API)"));
+      }
+      io(kind, token);
+      CkptReject(io, kind == Kind::kClosure, "proxy restore: closure origin");
+    }
 
     static QueryOrigin Closure(QueryCallback cb) {
       QueryOrigin o;
@@ -285,6 +302,11 @@ class ProxyNode : public NetNode, public EventSink {
     TimeInterval range{};
     SimTime issued_at = 0;
     QueryOrigin origin;
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(is_now, range, issued_at, origin);
+    }
   };
 
   struct PendingPull {
@@ -296,8 +318,14 @@ class ProxyNode : public NetNode, public EventSink {
     SimTime issued_at = 0;
     size_t request_bytes = 0;  // encoded ArchiveQueryMsg size, for energy attribution
     QueryOrigin origin;
-    EventHandle timeout;
+    EventHandle timeout;  // re-captured via OnEventRestored after a restore
     std::vector<PullRider> riders;
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(id, sensor_id, is_now, range, tolerance, issued_at, request_bytes, origin,
+         riders);
+    }
   };
 
   // A deferred promotion-time repair: the hole scan re-runs at drain time, so a
@@ -305,6 +333,23 @@ class ProxyNode : public NetNode, public EventSink {
   struct BackfillRequest {
     NodeId sensor_id = 0;
     Duration horizon = 0;
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(sensor_id, horizon);
+    }
+  };
+
+  // Migration / hand-back / recruit payload ahead of the full-precision model.
+  struct StateSnapshot {
+    NodeId sensor_id = 0;
+    std::vector<Sample> samples;
+    double tolerance = 0.0;  // informational; receivers keep their own default
+
+    template <typename Io>
+    void CkptFields(Io& io) {
+      io(sensor_id, samples, tolerance);
+    }
   };
 
   SensorState& GetSensor(NodeId sensor_id);

@@ -72,23 +72,14 @@ std::optional<ConfigUpdateMsg> QuerySensorMatcher::Recommend(SimTime now) {
 
 namespace presto {
 
-void QuerySensorMatcher::SaveState(ByteWriter& w) const {
-  CkptWrite(w, profile_.queries);
-  CkptWrite(w, profile_.min_latency_bound);
-  CkptWrite(w, profile_.min_tolerance);
-  CkptWrite(w, profile_.window_start);
-  CkptWrite(w, applied_lpl_);
-  CkptWrite(w, applied_quant_);
+template <typename Io>
+void QuerySensorMatcher::CkptFields(Io& io) {
+  io(profile_.queries, profile_.min_latency_bound, profile_.min_tolerance,
+     profile_.window_start, applied_lpl_, applied_quant_);
 }
+PRESTO_CKPT_FIELDS(QuerySensorMatcher);
 
-Status QuerySensorMatcher::LoadState(ByteReader& r) {
-  CKPT_READ(r, profile_.queries);
-  CKPT_READ(r, profile_.min_latency_bound);
-  CKPT_READ(r, profile_.min_tolerance);
-  CKPT_READ(r, profile_.window_start);
-  CKPT_READ(r, applied_lpl_);
-  CKPT_READ(r, applied_quant_);
-  return OkStatus();
-}
+void QuerySensorMatcher::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status QuerySensorMatcher::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

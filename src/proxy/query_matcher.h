@@ -61,6 +61,8 @@ class QuerySensorMatcher {
   // Checkpoint codec: the query profile window and the applied-config snapshot.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   MatcherParams params_;

@@ -113,38 +113,14 @@ void SummaryCache::EvictBefore(SimTime t) {
 
 namespace presto {
 
-void CkptWrite(ByteWriter& w, const CachedValue& v) {
-  w.WriteF64(v.value);
-  CkptWrite(w, v.source);
-  CkptWrite(w, v.inserted_at);
+template <typename Io>
+void SummaryCache::CkptFields(Io& io) {
+  io(entries_, stats_.inserts, stats_.refinements, stats_.downgrades_rejected,
+     stats_.evictions);
 }
+PRESTO_CKPT_FIELDS(SummaryCache);
 
-Status CkptRead(ByteReader& r, CachedValue& v) {
-  auto value = r.ReadF64();
-  if (!value.ok()) {
-    return value.status();
-  }
-  v.value = *value;
-  CKPT_READ(r, v.source);
-  CKPT_READ(r, v.inserted_at);
-  return OkStatus();
-}
-
-void SummaryCache::SaveState(ByteWriter& w) const {
-  CkptWrite(w, entries_);
-  CkptWrite(w, stats_.inserts);
-  CkptWrite(w, stats_.refinements);
-  CkptWrite(w, stats_.downgrades_rejected);
-  CkptWrite(w, stats_.evictions);
-}
-
-Status SummaryCache::LoadState(ByteReader& r) {
-  CKPT_READ(r, entries_);
-  CKPT_READ(r, stats_.inserts);
-  CKPT_READ(r, stats_.refinements);
-  CKPT_READ(r, stats_.downgrades_rejected);
-  CKPT_READ(r, stats_.evictions);
-  return OkStatus();
-}
+void SummaryCache::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status SummaryCache::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 }  // namespace presto

@@ -38,9 +38,12 @@ struct CachedValue {
   SimTime inserted_at = 0;  // when the proxy learned this value (arrival, not data time)
 };
 
-// Checkpoint codec for cache entries (ADL overloads used by the container codecs).
-void CkptWrite(ByteWriter& w, const CachedValue& v);
-Status CkptRead(ByteReader& r, CachedValue& v);
+// Checkpoint field list of a cache entry.
+constexpr uint64_t CkptEnumMax(CacheSource) { return 2; }
+template <typename Io>
+void CkptFields(Io& io, CachedValue& v) {
+  io(v.value, v.source, v.inserted_at);
+}
 
 struct CacheStats {
   uint64_t inserts = 0;
@@ -89,6 +92,8 @@ class SummaryCache {
   // Checkpoint codec: entries with provenance, plus stats (max_entries_ is config).
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   size_t max_entries_;

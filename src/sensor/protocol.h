@@ -57,6 +57,7 @@ enum class PushPolicy : uint8_t {
   kBatched = 3,      // push everything, batched every batch_interval
   kEverySample = 4,  // push every sample immediately (streaming architecture)
 };
+constexpr uint64_t CkptEnumMax(PushPolicy) { return 4; }
 
 const char* PushPolicyName(PushPolicy policy);
 

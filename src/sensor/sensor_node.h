@@ -112,6 +112,8 @@ class SensorNode : public NetNode {
   // the installed model (full precision), batch buffer, push state, meter and stats.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
   const Stats& stats() const { return stats_; }
   const EnergyMeter& meter() const { return meter_; }

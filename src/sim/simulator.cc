@@ -466,133 +466,130 @@ uint64_t Simulator::RegisterSink(EventSink* sink) {
   return id;
 }
 
-namespace {
+// Pending queue events and mailbox entries as checkpointed: the sink by its
+// registration index. Mail has no seq (its FIFO position orders it).
+struct Simulator::SavedEvent {
+  SimTime time = 0;
+  uint64_t seq = 0;
+  EventKind kind = EventKind::kTimer;
+  uint64_t sink = 0;
+  EventPayload payload;
 
-void WritePayload(ByteWriter& w, const EventPayload& p) {
-  CkptWrite(w, p.a);
-  CkptWrite(w, p.b);
-  CkptWrite(w, p.c);
-  CkptWrite(w, p.d);
-  CkptWrite(w, p.e);
-  CkptWrite(w, p.f);
-  CkptWrite(w, p.bytes);
+  template <typename Io>
+  void CkptFields(Io& io) {
+    io(time, seq, kind, sink, payload);
+  }
+};
+
+struct Simulator::SavedMail {
+  SimTime time = 0;
+  EventKind kind = EventKind::kTimer;
+  uint64_t sink = 0;
+  EventPayload payload;
+
+  template <typename Io>
+  void CkptFields(Io& io) {
+    io(time, kind, sink, payload);
+  }
+};
+
+template <typename Io>
+void CkptFields(Io& io, EventPayload& p) {
+  io(p.a, p.b, p.c, p.d, p.e, p.f, p.bytes);
 }
 
-Status ReadPayload(ByteReader& r, EventPayload& p) {
-  CKPT_READ(r, p.a);
-  CKPT_READ(r, p.b);
-  CKPT_READ(r, p.c);
-  CKPT_READ(r, p.d);
-  CKPT_READ(r, p.e);
-  CKPT_READ(r, p.f);
-  CKPT_READ(r, p.bytes);
-  return OkStatus();
-}
-
-}  // namespace
-
-Status Simulator::SaveState(ByteWriter& w) const {
+template <typename Io>
+void Simulator::CkptFields(Io& io) {
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl,
-                   "checkpoint only from control context");
-  CkptWrite(w, lane_mode_);
-  CkptWrite(w, static_cast<uint64_t>(lanes_.size()));
-  CkptWrite(w, static_cast<uint64_t>(sinks_.size()));
-  CkptWrite(w, epoch_);
-  CkptWrite(w, global_now_);
-  w.WriteU64(barrier_hash_);
-  CkptWrite(w, any_scheduled_);
+                   "checkpoint and restore only from control context");
+  CkptExpect(io, lane_mode_, StatusCode::kFailedPrecondition,
+             "restore: lane mode mismatch");
+  CkptExpect(io, static_cast<uint64_t>(lanes_.size()), StatusCode::kFailedPrecondition,
+             "restore: lane count mismatch");
+  CkptExpect(io, static_cast<uint64_t>(sinks_.size()), StatusCode::kFailedPrecondition,
+             "restore: sink table mismatch (construct in the saving run's order)");
+  CkptExpect(io, epoch_, StatusCode::kFailedPrecondition, "restore: epoch grid mismatch");
+  io(global_now_);
+  io.Fixed64(barrier_hash_);
+  io(any_scheduled_);
+  std::vector<std::vector<SavedEvent>> queues(lanes_.size());
+  std::vector<std::vector<std::vector<SavedMail>>> inboxes(lanes_.size());
   for (size_t li = 0; li < lanes_.size(); ++li) {
-    const Lane& lane = lanes_[li];
-    CkptWrite(w, lane.now);
-    CkptWrite(w, lane.next_seq);
-    CkptWrite(w, lane.executed);
-    w.WriteU64(lane.fp);
-    // Pending queue events, ascending (time, seq) — copy-pop to iterate the heap.
-    auto queue = lane.queue;
-    std::vector<QueueEntry> live;
-    live.reserve(queue.size());
-    while (!queue.empty()) {
-      const QueueEntry entry = queue.top();
-      queue.pop();
-      if (lane.pool[entry.slot].gen == entry.gen) {
-        live.push_back(entry);
+    Lane& lane = lanes_[li];
+    inboxes[li].resize(lane.inbox.size());
+    if constexpr (!Io::kLoading) {
+      const auto sink_index = [&](EventKind kind, EventSink* sink) -> uint64_t {
+        auto sid = sink_ids_.find(sink);
+        if (kind == EventKind::kCallback || sid == sink_ids_.end()) {
+          io.Fail(FailedPreconditionError(
+              "checkpoint: pending kCallback closure or unregistered sink in lane " +
+              std::to_string(li) + " (typed events only)"));
+          return 0;
+        }
+        return sid->second;
+      };
+      // Pending queue events, ascending (time, seq) — copy-pop to iterate the heap.
+      auto heap = lane.queue;
+      for (; !heap.empty(); heap.pop()) {
+        const QueueEntry& entry = heap.top();
+        const Event& event = lane.pool[entry.slot];
+        if (event.gen == entry.gen) {
+          queues[li].push_back(SavedEvent{entry.time, entry.seq, event.kind,
+                                          sink_index(event.kind, event.sink),
+                                          event.payload});
+        }
+      }
+      for (size_t b = 0; b < lane.inbox.size(); ++b) {
+        for (const Mail& mail : lane.inbox[b]) {
+          inboxes[li][b].push_back(
+              SavedMail{mail.time, mail.kind, sink_index(mail.kind, mail.sink),
+                        mail.payload});
+        }
       }
     }
-    CkptWrite(w, static_cast<uint64_t>(live.size()));
-    for (const QueueEntry& entry : live) {
-      const Event& event = lane.pool[entry.slot];
-      if (event.kind == EventKind::kCallback) {
-        return FailedPreconditionError(
-            "checkpoint: pending kCallback closure in lane " + std::to_string(li) +
-            " at t=" + std::to_string(entry.time) + " (typed events only)");
-      }
-      auto sid = sink_ids_.find(event.sink);
-      if (sid == sink_ids_.end()) {
-        return FailedPreconditionError("checkpoint: unregistered sink in lane " +
-                                       std::to_string(li));
-      }
-      CkptWrite(w, entry.time);
-      CkptWrite(w, entry.seq);
-      CkptWrite(w, event.kind);
-      CkptWrite(w, sid->second);
-      WritePayload(w, event.payload);
-    }
-    CkptWrite(w, static_cast<uint64_t>(lane.inbox.size()));
-    for (const std::vector<Mail>& box : lane.inbox) {
-      CkptWrite(w, static_cast<uint64_t>(box.size()));
-      for (const Mail& mail : box) {
-        if (mail.kind == EventKind::kCallback) {
-          return FailedPreconditionError(
-              "checkpoint: pending kCallback closure in a mailbox of lane " +
-              std::to_string(li));
-        }
-        auto sid = sink_ids_.find(mail.sink);
-        if (sid == sink_ids_.end()) {
-          return FailedPreconditionError(
-              "checkpoint: unregistered mailbox sink in lane " + std::to_string(li));
-        }
-        CkptWrite(w, mail.time);
-        CkptWrite(w, mail.kind);
-        CkptWrite(w, sid->second);
-        WritePayload(w, mail.payload);
-      }
+    io(lane.now, lane.next_seq, lane.executed);
+    io.Fixed64(lane.fp);
+    io(queues[li]);
+    CkptExpect(io, static_cast<uint64_t>(inboxes[li].size()), StatusCode::kDataLoss,
+               "restore: mailbox table mismatch");
+    for (std::vector<SavedMail>& box : inboxes[li]) {
+      io(box);
     }
   }
-  return OkStatus();
+  if constexpr (Io::kLoading) {
+    if (io.ok()) {
+      io.Fail(RestoreQueues(queues, inboxes));
+    }
+  }
 }
+PRESTO_CKPT_FIELDS(Simulator);
 
-Status Simulator::LoadState(ByteReader& r) {
-  PRESTO_CHECK_MSG(CurrentLane() == kLaneControl, "restore only from control context");
-  bool lane_mode = false;
-  uint64_t lane_count = 0;
-  uint64_t sink_count = 0;
-  CKPT_READ(r, lane_mode);
-  CKPT_READ(r, lane_count);
-  CKPT_READ(r, sink_count);
-  if (lane_mode != lane_mode_ || lane_count != lanes_.size()) {
-    return FailedPreconditionError(
-        "restore: lane configuration mismatch (checkpoint has " +
-        std::to_string(lane_count) + " lanes, simulator has " +
-        std::to_string(lanes_.size()) + ")");
+Status Simulator::RestoreQueues(
+    std::vector<std::vector<SavedEvent>>& queues,
+    std::vector<std::vector<std::vector<SavedMail>>>& inboxes) {
+  const auto typed = [&](EventKind kind, uint64_t sink) {
+    return kind != EventKind::kCallback && sink < sinks_.size();
+  };
+  for (size_t li = 0; li < lanes_.size(); ++li) {
+    const std::vector<SavedEvent>& queue = queues[li];
+    for (size_t i = 0; i < queue.size(); ++i) {
+      const bool ascending =
+          i == 0 || queue[i - 1].time < queue[i].time ||
+          (queue[i - 1].time == queue[i].time && queue[i - 1].seq < queue[i].seq);
+      if (!typed(queue[i].kind, queue[i].sink) || !ascending) {
+        return DataLossError("restore: invalid or out-of-order event record in lane " +
+                             std::to_string(li));
+      }
+    }
+    for (const std::vector<SavedMail>& box : inboxes[li]) {
+      for (const SavedMail& mail : box) {
+        if (!typed(mail.kind, mail.sink)) {
+          return DataLossError("restore: invalid mailbox record in lane " +
+                               std::to_string(li));
+        }
+      }
+    }
   }
-  if (sink_count != sinks_.size()) {
-    return FailedPreconditionError(
-        "restore: sink table mismatch (checkpoint has " + std::to_string(sink_count) +
-        " sinks, simulator has " + std::to_string(sinks_.size()) +
-        "; construction order must match the saving run)");
-  }
-  Duration epoch = 0;
-  CKPT_READ(r, epoch);
-  if (epoch != epoch_) {
-    return FailedPreconditionError("restore: epoch grid mismatch");
-  }
-  CKPT_READ(r, global_now_);
-  auto barrier_hash = r.ReadU64();
-  if (!barrier_hash.ok()) {
-    return barrier_hash.status();
-  }
-  barrier_hash_ = *barrier_hash;
-  CKPT_READ(r, any_scheduled_);
   // Restored events to announce once every lane's queues are rebuilt.
   struct Restored {
     int lane;
@@ -603,68 +600,27 @@ Status Simulator::LoadState(ByteReader& r) {
   std::vector<Restored> announce;
   for (size_t li = 0; li < lanes_.size(); ++li) {
     Lane& lane = lanes_[li];
-    // Discard construction-time residue: the restoring run rebuilds queues from the
-    // checkpoint; handle-holders re-capture via OnEventRestored below.
+    // Discard construction-time residue; handle-holders re-capture below.
     lane.pool.clear();
     lane.free_slots.clear();
     lane.queue = std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later>();
-    CKPT_READ(r, lane.now);
-    CKPT_READ(r, lane.next_seq);
-    CKPT_READ(r, lane.executed);
-    auto fp = r.ReadU64();
-    if (!fp.ok()) {
-      return fp.status();
-    }
-    lane.fp = *fp;
-    uint64_t pending = 0;
-    CKPT_READ(r, pending);
-    for (uint64_t i = 0; i < pending; ++i) {
-      SimTime time = 0;
-      uint64_t seq = 0;
-      EventKind kind = EventKind::kCallback;
-      uint64_t sink_id = 0;
-      CKPT_READ(r, time);
-      CKPT_READ(r, seq);
-      CKPT_READ(r, kind);
-      CKPT_READ(r, sink_id);
-      if (kind == EventKind::kCallback || sink_id >= sinks_.size()) {
-        return DataLossError("restore: invalid event record in lane " +
-                             std::to_string(li));
-      }
+    for (SavedEvent& saved : queues[li]) {
       const uint32_t slot = static_cast<uint32_t>(lane.pool.size());
       lane.pool.emplace_back();
       Event& event = lane.pool[slot];
-      event.kind = kind;
-      event.sink = sinks_[sink_id];
-      PRESTO_RETURN_IF_ERROR(ReadPayload(r, event.payload));
+      event.kind = saved.kind;
+      event.sink = sinks_[saved.sink];
+      event.payload = std::move(saved.payload);
       // Original (time, seq): same-time tie-break order is part of the replay
       // contract, so events re-enter with the seqs they were scheduled under.
-      lane.queue.push(QueueEntry{time, seq, slot, event.gen});
-      announce.push_back(Restored{static_cast<int>(li), time, kind, slot});
+      lane.queue.push(QueueEntry{saved.time, saved.seq, slot, event.gen});
+      announce.push_back(Restored{static_cast<int>(li), saved.time, saved.kind, slot});
     }
-    uint64_t box_count = 0;
-    CKPT_READ(r, box_count);
-    if (box_count != lane.inbox.size()) {
-      return DataLossError("restore: mailbox table mismatch in lane " +
-                           std::to_string(li));
-    }
-    for (std::vector<Mail>& box : lane.inbox) {
-      box.clear();
-      uint64_t mail_count = 0;
-      CKPT_READ(r, mail_count);
-      for (uint64_t i = 0; i < mail_count; ++i) {
-        Mail mail{};
-        uint64_t sink_id = 0;
-        CKPT_READ(r, mail.time);
-        CKPT_READ(r, mail.kind);
-        CKPT_READ(r, sink_id);
-        if (mail.kind == EventKind::kCallback || sink_id >= sinks_.size()) {
-          return DataLossError("restore: invalid mailbox record in lane " +
-                               std::to_string(li));
-        }
-        mail.sink = sinks_[sink_id];
-        PRESTO_RETURN_IF_ERROR(ReadPayload(r, mail.payload));
-        box.push_back(std::move(mail));
+    for (size_t b = 0; b < lane.inbox.size(); ++b) {
+      lane.inbox[b].clear();
+      for (SavedMail& m : inboxes[li][b]) {
+        Mail mail{m.time, m.kind, sinks_[m.sink], std::move(m.payload), {}};
+        lane.inbox[b].push_back(std::move(mail));
       }
     }
   }
@@ -674,12 +630,15 @@ Status Simulator::LoadState(ByteReader& r) {
     const int external_lane = lane_mode_ && item.lane != ControlIndex()
                                   ? item.lane
                                   : kLaneControl;
-    event.sink->OnEventRestored(item.time, item.kind, event.payload,
-                                EventHandle(this, item.lane, item.slot, event.gen),
-                                external_lane);
+    PRESTO_RETURN_IF_ERROR(event.sink->OnEventRestored(
+        item.time, item.kind, event.payload,
+        EventHandle(this, item.lane, item.slot, event.gen), external_lane));
   }
   return OkStatus();
 }
+
+Status Simulator::SaveState(ByteWriter& w) const { return CkptSave(w, *this); }
+Status Simulator::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 size_t Simulator::PoolSlotsForTest(int lane) const {
   return lanes_[static_cast<size_t>(ResolveLane(lane))].pool.size();

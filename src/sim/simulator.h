@@ -66,6 +66,7 @@ enum class EventKind : uint8_t {
   kQuery = 4,      // query routing/completion stages, pull timeouts
   kMutation = 5,   // deployment topology mutation (control lane only)
 };
+constexpr uint64_t CkptEnumMax(EventKind) { return 5; }
 
 // Small POD argument block for typed events. Meaning of a..f is sink-defined;
 // `bytes` carries bulk payloads (radio frames) and its capacity is pooled.
@@ -92,14 +93,17 @@ class EventSink {
   // external designator the event lives in (a worker lane index, or kLaneControl for
   // the control/legacy lane) — sinks with per-lane state use it to find the owning
   // context. Mailbox entries are not announced (cross-lane posts never had handles).
-  // Default no-op: sinks whose events carry no handle state ignore it.
-  virtual void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                               const EventHandle& handle, int lane) {
+  // A sink whose own section also records the event (a timer's next fire, a
+  // batch's flush time) returns kDataLoss when the two disagree, failing the
+  // restore. Default no-op: sinks whose events carry no handle state ignore it.
+  virtual Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                                 const EventHandle& handle, int lane) {
     (void)t;
     (void)kind;
     (void)payload;
     (void)handle;
     (void)lane;
+    return OkStatus();
   }
 };
 
@@ -155,6 +159,12 @@ class Simulator {
 
   // Worker lanes configured (0 in legacy mode).
   int num_lanes() const { return lane_mode_ ? static_cast<int>(lanes_.size()) - 1 : 0; }
+  // Whether `lane` is a designator this simulator resolves (kLaneCurrent,
+  // kLaneControl or a worker lane index); restores check saved lanes with it.
+  bool IsLane(int lane) const {
+    return lane == kLaneCurrent || lane == kLaneControl ||
+           (lane >= 0 && lane < num_lanes());
+  }
   int threads() const { return threads_; }
   // The epoch-barrier grid length passed to ConfigureLanes, fixed for the run
   // (kNoEpochGrid in legacy mode). Layers that stack their own barrier schedule on
@@ -253,10 +263,21 @@ class Simulator {
   // differ (replay is thread-count independent). Existing queues are discarded;
   // events re-enter their pools with their original (time, seq) keys and each is
   // announced via OnEventRestored. Call after every subsystem's own LoadState, so
-  // re-captured handles land in fully restored objects.
+  // re-captured handles land in fully restored objects. Pending events must be
+  // strictly ascending in (time, seq) per lane — the order SaveState writes.
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
+  // Checkpoint records of pending queue events and mailbox entries.
+  struct SavedEvent;
+  struct SavedMail;
+  // Validates restored records, then rebuilds every lane's pool, heap and
+  // mailboxes and announces the events. Untouched on error.
+  Status RestoreQueues(std::vector<std::vector<SavedEvent>>& queues,
+                       std::vector<std::vector<std::vector<SavedMail>>>& inboxes);
+
   struct QueueEntry {
     SimTime time;
     uint64_t seq;  // tie-break: FIFO among same-time events within a lane

@@ -75,30 +75,30 @@ void PeriodicTimer::ScheduleNext(Duration delay) {
                                    EventPayload{}, lane_);
 }
 
-void PeriodicTimer::SaveState(ByteWriter& w) const {
-  CkptWrite(w, period_);
-  CkptWrite(w, next_fire_at_);
-  CkptWrite(w, lane_);
-  CkptWrite(w, running_);
+template <typename Io>
+void PeriodicTimer::CkptFields(Io& io) {
+  io(period_, next_fire_at_, lane_, running_);
+  CkptReject(io, !sim_->IsLane(lane_), "timer restore: lane out of range");
+  if constexpr (Io::kLoading) {
+    pending_ = EventHandle();  // stale pre-restore handle: drop without cancelling
+  }
 }
+PRESTO_CKPT_FIELDS(PeriodicTimer);
 
-Status PeriodicTimer::LoadState(ByteReader& r) {
-  pending_ = EventHandle();  // stale pre-restore handle: drop without cancelling
-  CKPT_READ(r, period_);
-  CKPT_READ(r, next_fire_at_);
-  CKPT_READ(r, lane_);
-  CKPT_READ(r, running_);
-  return OkStatus();
-}
+void PeriodicTimer::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status PeriodicTimer::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
-void PeriodicTimer::OnEventRestored(SimTime t, EventKind kind,
-                                    const EventPayload& payload,
-                                    const EventHandle& handle, int lane) {
+Status PeriodicTimer::OnEventRestored(SimTime t, EventKind kind,
+                                      const EventPayload& payload,
+                                      const EventHandle& handle, int lane) {
   (void)kind;
   (void)payload;
-  next_fire_at_ = t;
+  (void)lane;  // lane_ is the scheduling designator, restored as saved
+  if (t != next_fire_at_) {
+    return DataLossError("timer restore: pending fire disagrees with the timer");
+  }
   pending_ = handle;
-  lane_ = lane;
+  return OkStatus();
 }
 
 }  // namespace presto

@@ -57,8 +57,10 @@ class PeriodicTimer : public EventSink {
   // OnEventRestored re-captures it when the engine restores the kTimer event.
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
-  void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                       const EventHandle& handle, int lane) override;
+  template <typename Io>
+  void CkptFields(Io& io);
+  Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                         const EventHandle& handle, int lane) override;
 
  private:
   void Fire();

@@ -129,12 +129,17 @@ Result<uint64_t> ByteReader::ReadVarU64() {
     if (!Need(1)) {
       return OutOfRangeError("ByteReader: truncated varint");
     }
-    if (shift >= 64) {
+    const uint8_t byte = data_[pos_++];
+    // Only the minimal encoding is valid: the tenth byte may carry bit 63 alone,
+    // and a zero final byte after the first would have been left off.
+    if (shift == 63 && byte > 1) {
       return InvalidArgumentError("ByteReader: varint too long");
     }
-    const uint8_t byte = data_[pos_++];
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift > 0) {
+        return InvalidArgumentError("ByteReader: overlong varint");
+      }
       return v;
     }
     shift += 7;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace presto {
@@ -41,7 +42,11 @@ class RunningStats {
 class SampleSet {
  public:
   void Add(double x);
-  void Reserve(size_t n) { samples_.reserve(n); }
+  // Replaces the contents with `samples` (checkpoint restore).
+  void Assign(std::vector<double> samples) {
+    samples_ = std::move(samples);
+    sorted_ = false;
+  }
 
   int64_t count() const { return static_cast<int64_t>(samples_.size()); }
   double mean() const;

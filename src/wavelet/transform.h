@@ -15,6 +15,7 @@ enum class WaveletKind : uint8_t {
   kHaar = 0,
   kDaubechies4 = 1,
 };
+constexpr uint64_t CkptEnumMax(WaveletKind) { return 1; }
 
 // Pyramid DWT coefficients. Layout of `data` (padded length n = 2^k):
 //   [ approx(level L) | detail(level L) | detail(level L-1) | ... | detail(level 1) ]

@@ -48,13 +48,17 @@ uint64_t LatencyHistogram::Hash() const {
   return cached_hash_;
 }
 
-void LatencyHistogram::SaveState(ByteWriter& w) const { CkptWrite(w, counts_); }
-
-Status LatencyHistogram::LoadState(ByteReader& r) {
-  CKPT_READ(r, counts_);
-  hash_valid_ = false;
-  return OkStatus();
+template <typename Io>
+void LatencyHistogram::CkptFields(Io& io) {
+  io(counts_);
+  if constexpr (Io::kLoading) {
+    hash_valid_ = false;
+  }
 }
+PRESTO_CKPT_FIELDS(LatencyHistogram);
+
+void LatencyHistogram::SaveState(ByteWriter& w) const { CkptWrite(w, *this); }
+Status LatencyHistogram::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 std::string LatencyHistogram::ToString() const {
   std::string out;
@@ -133,65 +137,29 @@ void QueryDriver::OnSimEvent(EventKind kind, EventPayload& payload) {
                                    Simulator::kLaneControl);
 }
 
-void QueryDriver::OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                                  const EventHandle& handle, int lane) {
+Status QueryDriver::OnEventRestored(SimTime t, EventKind kind,
+                                    const EventPayload& payload,
+                                    const EventHandle& handle, int lane) {
   (void)t;
   (void)payload;
   (void)lane;
   if (kind == EventKind::kQuery) {
     pending_ = handle;  // the one pending arrival re-captured after restore
   }
-}
-
-void CkptWrite(ByteWriter& w, const QueryDriverStats& v) {
-  CkptWrite(w, v.issued);
-  CkptWrite(w, v.completed);
-  CkptWrite(w, v.failed);
-  CkptWrite(w, v.cross_cell);
-  CkptWrite(w, v.by_source);
-  CkptWrite(w, v.latency_ms);
-  v.latency.SaveState(w);
-  CkptWrite(w, v.energy_j);
-  CkptWrite(w, v.energy_now_j);
-  CkptWrite(w, v.energy_past_j);
-  CkptWrite(w, v.energized);
-  CkptWrite(w, v.energy_by_cell_j);
-}
-
-Status CkptRead(ByteReader& r, QueryDriverStats& v) {
-  CKPT_READ(r, v.issued);
-  CKPT_READ(r, v.completed);
-  CKPT_READ(r, v.failed);
-  CKPT_READ(r, v.cross_cell);
-  CKPT_READ(r, v.by_source);
-  CKPT_READ(r, v.latency_ms);
-  PRESTO_RETURN_IF_ERROR(v.latency.LoadState(r));
-  CKPT_READ(r, v.energy_j);
-  CKPT_READ(r, v.energy_now_j);
-  CKPT_READ(r, v.energy_past_j);
-  CKPT_READ(r, v.energized);
-  CKPT_READ(r, v.energy_by_cell_j);
   return OkStatus();
 }
 
-Status QueryDriver::SaveState(ByteWriter& w) const {
-  CkptWrite(w, rng_);
-  CkptWrite(w, next_at_);
-  CkptWrite(w, until_);
-  CkptWrite(w, running_);
-  CkptWrite(w, stats_);
-  return OkStatus();
+template <typename Io>
+void QueryDriver::CkptFields(Io& io) {
+  io(rng_, next_at_, until_, running_, stats_);
+  if constexpr (Io::kLoading) {
+    pending_ = EventHandle();  // re-captured via OnEventRestored
+  }
 }
+PRESTO_CKPT_FIELDS(QueryDriver);
 
-Status QueryDriver::LoadState(ByteReader& r) {
-  pending_ = EventHandle();  // re-captured via OnEventRestored
-  CKPT_READ(r, rng_);
-  CKPT_READ(r, next_at_);
-  CKPT_READ(r, until_);
-  CKPT_READ(r, running_);
-  CKPT_READ(r, stats_);
-  return OkStatus();
-}
+Status QueryDriver::SaveState(ByteWriter& w) const { return CkptSave(w, *this); }
+Status QueryDriver::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
 void QueryDriver::Record(const QueryOutcome& outcome) {
   ++stats_.completed;

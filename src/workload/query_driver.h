@@ -89,6 +89,8 @@ class LatencyHistogram {
   // Checkpoint codec: bucket counts only (the memo rebuilds on demand).
   void SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
   friend bool operator==(const LatencyHistogram& a, const LatencyHistogram& b) {
     return a.counts_ == b.counts_;
@@ -122,11 +124,14 @@ struct QueryDriverStats {
   std::map<int, double> energy_by_cell_j;    // keyed by QueryOutcome::source_cell
 };
 
-// Stats codec: checkpoints embed it via QueryDriver::SaveState, and the federation
-// process seam marshals per-worker driver stats through it (kSnapshot frames) —
-// one field order for both, so the two paths cannot drift.
-void CkptWrite(ByteWriter& w, const QueryDriverStats& v);
-Status CkptRead(ByteReader& r, QueryDriverStats& v);
+// Stats field list: checkpoints embed it via QueryDriver::SaveState, and the
+// federation process seam marshals per-worker driver stats through it (kSnapshot
+// frames) — one field order for both, so the two paths cannot drift.
+template <typename Io>
+void CkptFields(Io& io, QueryDriverStats& v) {
+  io(v.issued, v.completed, v.failed, v.cross_cell, v.by_source, v.latency_ms, v.latency,
+     v.energy_j, v.energy_now_j, v.energy_past_j, v.energized, v.energy_by_cell_j);
+}
 
 class QueryDriver : public EventSink {
  public:
@@ -161,14 +166,16 @@ class QueryDriver : public EventSink {
   void RecordOutcome(const QueryOutcome& outcome) { Record(outcome); }
 
   void OnSimEvent(EventKind kind, EventPayload& payload) override;  // arrivals
-  void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
-                       const EventHandle& handle, int lane) override;
+  Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                         const EventHandle& handle, int lane) override;
 
   // Checkpoint codec: arrival RNG and schedule, run window, and recorded stats.
   // The pending-arrival event itself lives in the simulator's queue; LoadState
   // drops the stale handle and OnEventRestored re-captures it.
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
+  template <typename Io>
+  void CkptFields(Io& io);
 
  private:
   Duration NextGap();

@@ -1166,7 +1166,7 @@ TEST(CellWorkerTest, BootstrapRefusesConfigsACellWouldAbortOn) {
   valid.cell.num_proxies = 2;
   valid.cell.sensors_per_proxy = 2;
 
-  std::vector<FederationConfig> bad(4, valid);
+  std::vector<FederationConfig> bad(7, valid);
   bad[0].cell.sensors_per_proxy = 1000;  // naming grid caps shards at 999
   bad[1].cell.replication_factor = 0;
   bad[2].cell.lane_engine = true;  // lanes need a positive epoch
@@ -1174,6 +1174,10 @@ TEST(CellWorkerTest, BootstrapRefusesConfigsACellWouldAbortOn) {
   bad[3].num_cells = 1 << 16;  // 2^16 cells x 2^12 proxies x 999 sensors > 2^31
   bad[3].cell.num_proxies = 1 << 12;
   bad[3].cell.sensors_per_proxy = 999;
+  bad[4].num_cells = 1 << 20;  // population fits int, but ~2 PB of sensor flash
+  bad[4].cell.sensors_per_proxy = 999;
+  bad[5].cell.flash.num_blocks = 1 << 30;  // 4 TiB of flash per sensor
+  bad[6].cell.flash.page_size_bytes = 0;
   for (size_t i = 0; i < bad.size(); ++i) {
     auto reply = bootstrap(bad[i]);
     ASSERT_TRUE(reply.ok()) << "config " << i << " killed the worker";

@@ -17,6 +17,10 @@
    rows with unique keys, section names drawn from the declared key set, and
    fingerprints as "0x%016x" hex strings.
 
+It also prints the two numbers ROADMAP aim 2 tracks, so every CI log records them:
+the src/ line count (`wc -l` over src/**/*.{h,cc}) and the knob count (fields of
+the STRUCTS config structs, i.e. the README knob-table rows).
+
 Exits non-zero with one line per problem.
 """
 
@@ -242,7 +246,21 @@ def check_bench_baselines(problems):
                     )
 
 
+def tracked_numbers():
+    """(src/ line count, knob count) — ROADMAP aim 2's two tracked numbers."""
+    lines = 0
+    for ext in ("h", "cc"):
+        pattern = os.path.join(REPO, "src", "**", "*." + ext)
+        for path in glob.glob(pattern, recursive=True):
+            with open(path, encoding="utf-8") as f:
+                lines += f.read().count("\n")
+    knobs = sum(len(struct_fields(path, name)) for path, name in STRUCTS)
+    return lines, knobs
+
+
 def main():
+    lines, knobs = tracked_numbers()
+    print(f"docs_check: src/ has {lines} lines; {knobs} knobs in the README tables")
     problems = []
     check_knob_tables(problems)
     check_markdown_links(problems)
