@@ -56,7 +56,7 @@ Status ArchiveStore::Append(Sample sample) {
     return InvalidArgumentError("archive appends must be time-ordered");
   }
   PRESTO_RETURN_IF_ERROR(EnsureWritable(sample.t));
-  if (!page_builder_.Fits(sample.t, sample.value)) {
+  if (!page_builder_.Fits(sample.t)) {
     PRESTO_RETURN_IF_ERROR(FlushPage());
     PRESTO_RETURN_IF_ERROR(EnsureWritable(sample.t));
   }
@@ -219,7 +219,7 @@ Status ArchiveStore::RunAgingPass() {
     };
 
     for (const Sample& s : summary) {
-      if (!builder.Fits(s.t, s.value)) {
+      if (!builder.Fits(s.t)) {
         PRESTO_RETURN_IF_ERROR(flush_summary_page());
       }
       builder.Add(s.t, s.value);

@@ -1,5 +1,7 @@
 #include "src/flash/page_codec.h"
 
+#include <cstring>
+
 #include "src/util/assert.h"
 #include "src/util/ckpt.h"
 #include "src/util/bytes.h"
@@ -7,9 +9,13 @@
 namespace presto {
 namespace {
 
-// Millisecond-granularity delta encoding for archived timestamps.
-int64_t ToDeltaMs(SimTime later, SimTime earlier) {
-  return (later - earlier) / kMillisecond;
+// Length of the LEB128 varint ByteWriter::WriteVarU64 writes for `v`.
+int VarintBytes(uint64_t v) {
+  int bytes = 1;
+  for (; v >= 0x80; v >>= 7) {
+    ++bytes;
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -28,31 +34,37 @@ PageBuilder::PageBuilder(int page_size_bytes) : page_size_(page_size_bytes) {
   PRESTO_CHECK(page_size_ > kPageHeaderBytes + 16);
 }
 
-std::vector<uint8_t> PageBuilder::EncodeRecord(SimTime t, double value) const {
-  ByteWriter w;
-  const SimTime base = count_ == 0 ? t : last_ts_;
-  w.WriteVarU64(static_cast<uint64_t>(ToDeltaMs(t, base)));
-  w.WriteF32(static_cast<float>(value));
-  return w.TakeBuffer();
+uint64_t PageBuilder::DeltaMs(SimTime t) const {
+  return count_ == 0 ? 0 : static_cast<uint64_t>((t - last_ts_) / kMillisecond);
 }
 
-bool PageBuilder::Fits(SimTime t, double value) const {
-  const std::vector<uint8_t> rec = EncodeRecord(t, value);
-  return static_cast<int>(records_.size() + rec.size()) <= page_size_ - kPageHeaderBytes;
+bool PageBuilder::Fits(SimTime t) const {
+  return static_cast<int>(records_.size() + sizeof(float)) + VarintBytes(DeltaMs(t)) <=
+         page_size_ - kPageHeaderBytes;
 }
 
 void PageBuilder::Add(SimTime t, double value) {
   PRESTO_CHECK_MSG(count_ == 0 || t >= last_ts_, "archive records must be time-ordered");
-  PRESTO_CHECK_MSG(Fits(t, value), "record does not fit in page");
-  const std::vector<uint8_t> rec = EncodeRecord(t, value);
+  PRESTO_CHECK_MSG(Fits(t), "record does not fit in page");
+  uint64_t delta = DeltaMs(t);
   if (count_ == 0) {
     // Millisecond storage granularity: remember the rounded value so deltas line up.
     first_ts_ = (t / kMillisecond) * kMillisecond;
     last_ts_ = first_ts_;
   } else {
-    last_ts_ += ToDeltaMs(t, last_ts_) * kMillisecond;
+    last_ts_ += static_cast<Duration>(delta) * kMillisecond;
   }
-  records_.insert(records_.end(), rec.begin(), rec.end());
+  // The bytes of ByteWriter::WriteVarU64(delta) + WriteF32(value), appended in place.
+  for (; delta >= 0x80; delta >>= 7) {
+    records_.push_back(static_cast<uint8_t>(delta) | 0x80);
+  }
+  records_.push_back(static_cast<uint8_t>(delta));
+  const float f = static_cast<float>(value);
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  for (int shift = 0; shift < 32; shift += 8) {
+    records_.push_back(static_cast<uint8_t>(bits >> shift));
+  }
   ++count_;
 }
 

@@ -43,8 +43,9 @@ class PageBuilder {
  public:
   explicit PageBuilder(int page_size_bytes);
 
-  // True if a record at time `t` still fits. Call before Add.
-  bool Fits(SimTime t, double value) const;
+  // True if a record at time `t` still fits. Call before Add. Every record's value is
+  // a fixed 4-byte float, so only the timestamp delta decides.
+  bool Fits(SimTime t) const;
 
   // Appends a record; timestamps must be non-decreasing within the page.
   void Add(SimTime t, double value);
@@ -63,7 +64,8 @@ class PageBuilder {
   void CkptFields(Io& io);
 
  private:
-  std::vector<uint8_t> EncodeRecord(SimTime t, double value) const;
+  // Whole milliseconds from the previous record to `t` (0 for a page's first record).
+  uint64_t DeltaMs(SimTime t) const;
 
   int page_size_;
   std::vector<uint8_t> records_;

@@ -38,6 +38,7 @@ Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
   // State = last `order` values, newest last.
   state.assign(values.end() - order, values.end());
   state_time = last_sample_time;
+  ResetCursor();
 
   // Round through the wire's float32 precision so the proxy's copy and the sensor's
   // deserialized copy forecast bit-identically (lockstep contract in model.h).
@@ -102,13 +103,21 @@ Prediction ArCore::Forecast(SimTime t) const {
   if (k > max_forecast_steps) {
     return Prediction{mean, marginal_std};
   }
-  std::vector<double> window = state;
-  for (int64_t i = 0; i < k; ++i) {
-    const double next = StepOnce(window);
-    window.erase(window.begin());
-    window.push_back(next);
+  RollCursorTo(k);
+  return Prediction{cursor_window_.back(),
+                    std::max(horizon_std[static_cast<size_t>(k)], 1e-9)};
+}
+
+void ArCore::RollCursorTo(int64_t k) const {
+  if (cursor_steps_ == 0 || cursor_steps_ > k) {
+    cursor_window_ = state;
+    cursor_steps_ = 0;
   }
-  return Prediction{window.back(), std::max(horizon_std[static_cast<size_t>(k)], 1e-9)};
+  for (; cursor_steps_ < k; ++cursor_steps_) {
+    const double next = StepOnce(cursor_window_);
+    cursor_window_.erase(cursor_window_.begin());
+    cursor_window_.push_back(next);
+  }
 }
 
 void ArCore::Anchor(const Sample& s) {
@@ -118,11 +127,9 @@ void ArCore::Anchor(const Sample& s) {
   }
   int64_t k = (s.t - state_time + sample_period / 2) / sample_period;
   k = std::min<int64_t>(std::max<int64_t>(k, 1), max_forecast_steps);
-  for (int64_t i = 0; i < k; ++i) {
-    const double next = StepOnce(state);
-    state.erase(state.begin());
-    state.push_back(next);
-  }
+  RollCursorTo(k);  // usually already there: the sensor checked this step first
+  state.swap(cursor_window_);
+  ResetCursor();
   // Attribute the innovation as a level shift across the whole lag window rather than
   // pinning only the newest entry: a lone corrected value next to stale forecasts
   // fabricates a trend, which inflates the push rate right after every anchor.
@@ -182,15 +189,9 @@ Status ArCore::DeserializeFrom(ByteReader* r) {
     }
     state.push_back(static_cast<double>(*v));
   }
+  ResetCursor();
   ComputeHorizonStd();
   return OkStatus();
-}
-
-int64_t ArCore::ForecastCostOps(SimTime t) const {
-  const int64_t k =
-      t > state_time ? (t - state_time + sample_period / 2) / sample_period : 0;
-  return 4 + static_cast<int64_t>(phi.size()) *
-                 std::clamp<int64_t>(k, 1, max_forecast_steps);
 }
 
 // ---------- ArModel ----------
@@ -324,6 +325,9 @@ template <typename Io>
 void ArCore::CkptFields(Io& io) {
   io(sample_period, max_forecast_steps, phi, mean, innovation_std, marginal_std, state,
      state_time, horizon_std);
+  if constexpr (Io::kLoading) {
+    ResetCursor();
+  }
 }
 
 template <typename Io>

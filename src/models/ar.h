@@ -40,7 +40,11 @@ struct ArCore {
   // from its tail. `values[i]` is at `start + i * sample_period`.
   Status Fit(const std::vector<double>& values, SimTime last_sample_time, int order);
 
-  // Forecast at absolute time t. Rolls a copy of the state forward (never mutates).
+  // Forecast at absolute time t. Rolls a copy of the state forward; the model's state
+  // never changes. A later step than the previous call continues from the window that
+  // call reached (the forecast cursor), so checking consecutive samples costs O(p)
+  // each rather than O(k * p) since the last anchor. Results are bit-identical to
+  // rolling from `state`.
   Prediction Forecast(SimTime t) const;
 
   // Advances the state to `s.t` (predicting the gap) and pins the newest value to the
@@ -54,11 +58,19 @@ struct ArCore {
   template <typename Io>
   void CkptFields(Io& io);
 
-  int64_t ForecastCostOps(SimTime t) const;
-
  private:
   double StepOnce(const std::vector<double>& window) const;
   void ComputeHorizonStd();
+  // Rolls the cursor to `k` >= 1 grid steps past `state_time`, restarting from `state`
+  // when it is unset or already beyond `k`.
+  void RollCursorTo(int64_t k) const;
+  // Drops the forecast cursor; every write to `state` or `state_time` must call it.
+  void ResetCursor() const { cursor_steps_ = 0; }
+
+  // Forecast cursor: derived state, never serialized, checkpointed or fingerprinted.
+  // `cursor_window_` is `state` rolled forward `cursor_steps_` grid steps; 0 = none.
+  mutable std::vector<double> cursor_window_;
+  mutable int64_t cursor_steps_ = 0;
 };
 
 // Plain AR(p) on the observed values.

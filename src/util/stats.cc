@@ -44,10 +44,7 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void SampleSet::Add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
+void SampleSet::Add(double x) { samples_.push_back(x); }
 
 double SampleSet::mean() const {
   if (samples_.empty()) {
@@ -91,15 +88,15 @@ double SampleSet::Quantile(double q) const {
   if (samples_.empty()) {
     return 0.0;
   }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(samples_.size() - 1);
+  // Sort a copy: samples_ keeps insertion order, so a read-only percentile never
+  // changes what a checkpoint or mean() sees.
+  std::vector<double> sorted = samples_;
+  std::sort(sorted.begin(), sorted.end());
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, samples_.size() - 1);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 Histogram::Histogram(double lo, double hi, int buckets) : lo_(lo) {

@@ -43,10 +43,7 @@ class SampleSet {
  public:
   void Add(double x);
   // Replaces the contents with `samples` (checkpoint restore).
-  void Assign(std::vector<double> samples) {
-    samples_ = std::move(samples);
-    sorted_ = false;
-  }
+  void Assign(std::vector<double> samples) { samples_ = std::move(samples); }
 
   int64_t count() const { return static_cast<int64_t>(samples_.size()); }
   double mean() const;
@@ -54,15 +51,15 @@ class SampleSet {
   double min() const;
   double max() const;
 
-  // Exact q-quantile with linear interpolation, q in [0, 1]. Sorts lazily.
+  // Exact q-quantile with linear interpolation, q in [0, 1]. Sorts a copy per call;
+  // the samples stay in insertion order.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
 
   const std::vector<double>& samples() const { return samples_; }
 
  private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
+  std::vector<double> samples_;
 };
 
 // Fixed-width histogram over [lo, hi); out-of-range samples clamp into the edge buckets.

@@ -28,16 +28,21 @@ TemperatureSignal::TemperatureSignal(const TemperatureParams& params)
       event_rng_(params.seed, /*stream=*/0x45564e54) {}
 
 double TemperatureSignal::BaseAt(SimTime t) {
-  const double diurnal =
-      params_.diurnal_amplitude_c *
-      std::cos(2.0 * M_PI *
-               static_cast<double>((t - params_.diurnal_peak) % kDay) /
-               static_cast<double>(kDay));
-  const double seasonal =
-      params_.seasonal_amplitude_c *
-      std::sin(2.0 * M_PI * static_cast<double>(t % params_.seasonal_period) /
-               static_cast<double>(params_.seasonal_period));
-  return params_.mean_c + diurnal + seasonal + FrontAt(t);
+  // Zero-amplitude terms (every per-node independent and event signal) would add a
+  // signed zero; skipping them saves the trig and leaves the sum bit-identical.
+  double value = params_.mean_c;
+  if (params_.diurnal_amplitude_c != 0.0) {
+    value += params_.diurnal_amplitude_c *
+             std::cos(2.0 * M_PI *
+                      static_cast<double>((t - params_.diurnal_peak) % kDay) /
+                      static_cast<double>(kDay));
+  }
+  if (params_.seasonal_amplitude_c != 0.0) {
+    value += params_.seasonal_amplitude_c *
+             std::sin(2.0 * M_PI * static_cast<double>(t % params_.seasonal_period) /
+                      static_cast<double>(params_.seasonal_period));
+  }
+  return value + FrontAt(t);
 }
 
 void TemperatureSignal::ExtendFronts(SimTime t) {

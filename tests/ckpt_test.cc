@@ -273,6 +273,29 @@ TEST(DeploymentCheckpointTest, DiffNamesThePerturbedProxyCacheFirst) {
   EXPECT_TRUE(ckpt.DivergentSections(ckpt).empty());
 }
 
+// A read-only percentile between two saves must not change the checkpoint: the
+// driver's latency samples are checkpointed in arrival order.
+TEST(DeploymentCheckpointTest, QuantileBetweenSavesLeavesTheBytesAlone) {
+  Deployment deployment(CkptDeploymentConfig(1));
+  deployment.Start();
+  deployment.RunUntil(Hours(1));
+  QueryDriver& driver = deployment.AttachQueryDriver(CkptDriverParams());
+  driver.Start(Minutes(25));
+  deployment.RunUntil(Hours(1) + Minutes(10));
+  const SampleSet& latency_ms = driver.stats().latency_ms;
+  ASSERT_FALSE(std::is_sorted(latency_ms.samples().begin(), latency_ms.samples().end()))
+      << "samples already sorted: the test is vacuous";
+
+  Checkpoint before;
+  ASSERT_TRUE(deployment.SaveCheckpoint(&before).ok());
+  const double p50 = latency_ms.Quantile(0.5);
+  EXPECT_GE(p50, latency_ms.min());
+  Checkpoint after;
+  ASSERT_TRUE(deployment.SaveCheckpoint(&after).ok());
+  EXPECT_TRUE(before.DivergentSections(after).empty());
+  EXPECT_EQ(before.Encode(), after.Encode());
+}
+
 // ---------- federation round trip ----------
 
 FederationConfig CkptFederationConfig() {

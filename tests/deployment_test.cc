@@ -809,12 +809,15 @@ struct ReplayDigest {
   uint64_t events = 0;
   double energy = 0.0;
   uint64_t messages_sent = 0;
+  uint64_t model_checks = 0;    // sensor-side forecast checks (lane scenario only)
+  uint64_t extrapolations = 0;  // proxy-side model answers (lane scenario only)
   std::vector<double> answers;
 
   bool operator==(const ReplayDigest& other) const {
     return fingerprint == other.fingerprint && events == other.events &&
            energy == other.energy && messages_sent == other.messages_sent &&
-           answers == other.answers;
+           answers == other.answers && model_checks == other.model_checks &&
+           extrapolations == other.extrapolations;
   }
 };
 
@@ -920,7 +923,10 @@ TEST(ReplayTest, FourProxyRunReplaysBitIdentically) {
 // A full deployment scenario on the lane engine: warmup, population-wide queries, a
 // kill (degraded + promoted probes), a revive hand-back, and a live migration. The
 // digest must be bit-identical for any worker count — that is the engine's contract.
-ReplayDigest RunLaneEngineScenario(int threads) {
+// `fitted_models` shortens model training (a one-hour seasonal cycle, two hours and
+// 16 pushes of training data) so sensors check and proxies extrapolate with fitted
+// models while lanes run on worker threads.
+ReplayDigest RunLaneEngineScenario(int threads, bool fitted_models = false) {
   DeploymentConfig config;
   config.num_proxies = 4;
   config.sensors_per_proxy = 8;
@@ -932,6 +938,12 @@ ReplayDigest RunLaneEngineScenario(int threads) {
   config.sim_epoch = Seconds(2);
   config.net.batch_epoch = Seconds(1);  // exercise per-lane coalescing windows
   config.seed = 331;
+  if (fitted_models) {
+    config.engine.min_training_span = Hours(2);
+    config.engine.min_training_samples = 16;
+    config.model_config.seasonal_period = Hours(1);
+    config.model_config.seasonal_bins = 12;
+  }
   Deployment deployment(config);
   deployment.Start();
   deployment.RunUntil(Hours(8));
@@ -965,6 +977,12 @@ ReplayDigest RunLaneEngineScenario(int threads) {
   digest.events = deployment.sim().events_executed();
   digest.energy = deployment.MeanSensorEnergy();
   digest.messages_sent = deployment.net().stats().messages_sent;
+  for (int p = 0; p < config.num_proxies; ++p) {
+    digest.extrapolations += deployment.proxy(p).stats().extrapolations;
+    for (int s = 0; s < config.sensors_per_proxy; ++s) {
+      digest.model_checks += deployment.sensor(p, s).stats().model_checks;
+    }
+  }
   return digest;
 }
 
@@ -980,6 +998,19 @@ TEST(LaneEngineDeploymentTest, DigestIdenticalAcrossWorkerCounts) {
   const ReplayDigest again = RunLaneEngineScenario(8);
   EXPECT_EQ(eight.fingerprint, again.fingerprint);
   EXPECT_TRUE(eight == again);
+}
+
+// The same scenario with models fitted early: sensor-side checks and proxy-side
+// extrapolations (and their forecast cursors) run on worker threads.
+TEST(LaneEngineDeploymentTest, FittedModelsDigestIdenticalAcrossWorkerCounts) {
+  const ReplayDigest one = RunLaneEngineScenario(1, /*fitted_models=*/true);
+  EXPECT_GT(one.model_checks, 0u) << "no model was installed: the test is vacuous";
+  EXPECT_GT(one.extrapolations, 0u) << "no query was extrapolated: the test is vacuous";
+  for (const int threads : {2, 8}) {
+    const ReplayDigest many = RunLaneEngineScenario(threads, /*fitted_models=*/true);
+    EXPECT_EQ(one.fingerprint, many.fingerprint) << "threads=" << threads;
+    EXPECT_TRUE(one == many) << "threads=" << threads;
+  }
 }
 
 // ---------- barrier-time lane re-binding on migration ----------

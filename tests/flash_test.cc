@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "src/flash/archive_store.h"
 #include "src/flash/flash_device.h"
 #include "src/flash/page_codec.h"
+#include "src/util/bytes.h"
 #include "src/util/rng.h"
 
 namespace presto {
@@ -92,7 +94,7 @@ TEST(PageCodecTest, RoundTrip) {
   SimTime t = Hours(5);
   for (int i = 0; i < 20; ++i) {
     in.push_back(Sample{t, 20.0 + i});
-    ASSERT_TRUE(builder.Fits(t, in.back().value));
+    ASSERT_TRUE(builder.Fits(t));
     builder.Add(t, in.back().value);
     t += Seconds(31);
   }
@@ -134,6 +136,86 @@ TEST(PageCodecTest, PaddingCorruptionIsHarmless) {
   EXPECT_TRUE(DecodePage(page).ok());
 }
 
+// Reference encoding of a page through ByteWriter, record by record: varint
+// milliseconds since the previous record (0 for the first), then the float32 value.
+class ReferencePage {
+ public:
+  explicit ReferencePage(int page_size) : page_size_(page_size) {}
+
+  std::vector<uint8_t> Record(SimTime t, double value) const {
+    ByteWriter w;
+    const int64_t delta_ms = records_.empty() ? 0 : (t - last_ts_) / kMillisecond;
+    w.WriteVarU64(static_cast<uint64_t>(delta_ms));
+    w.WriteF32(static_cast<float>(value));
+    return w.TakeBuffer();
+  }
+
+  bool Fits(SimTime t, double value) const {
+    return static_cast<int>(records_.size() + Record(t, value).size()) <=
+           page_size_ - kPageHeaderBytes;
+  }
+
+  void Add(SimTime t, double value) {
+    const std::vector<uint8_t> rec = Record(t, value);
+    if (records_.empty()) {
+      first_ts_ = (t / kMillisecond) * kMillisecond;
+      last_ts_ = first_ts_;
+    } else {
+      last_ts_ += (t - last_ts_) / kMillisecond * kMillisecond;
+    }
+    records_.insert(records_.end(), rec.begin(), rec.end());
+  }
+
+  std::vector<uint8_t> Seal(uint32_t seq, Duration resolution) const {
+    ByteWriter w;
+    w.WriteU16(kPageMagic);
+    w.WriteU32(seq);
+    w.WriteU16(static_cast<uint16_t>(records_.size()));
+    w.WriteU16(Fletcher16(records_));
+    w.WriteI64(first_ts_);
+    w.WriteI64(resolution);
+    std::vector<uint8_t> page = w.TakeBuffer();
+    page.insert(page.end(), records_.begin(), records_.end());
+    page.resize(static_cast<size_t>(page_size_), 0xFF);
+    return page;
+  }
+
+ private:
+  int page_size_;
+  std::vector<uint8_t> records_;
+  SimTime first_ts_ = 0;
+  SimTime last_ts_ = 0;
+};
+
+TEST(PageCodecTest, RecordsMatchReferenceEncodingAtVarintAndPageBoundaries) {
+  // Deltas straddle each varint length change (1|2 bytes at 128 ms, 2|3 at 16384 ms,
+  // 3|4 at 2^21 ms); the sub-millisecond offsets exercise the delta rounding. Sweeping
+  // the page size makes every record length land exactly on the page-full boundary.
+  const Duration kDeltas[] = {0, 127 * kMillisecond, 128 * kMillisecond,
+                              16383 * kMillisecond + 999, 16384 * kMillisecond,
+                              (int64_t{1} << 21) * kMillisecond, Seconds(31) + 500};
+  for (int page_size = kPageHeaderBytes + 17; page_size <= kPageHeaderBytes + 64;
+       ++page_size) {
+    PageBuilder builder(page_size);
+    ReferencePage reference(page_size);
+    SimTime t = Hours(5) + 345;
+    for (int i = 0;; ++i) {
+      const double value = 20.0 + 0.37 * i;
+      ASSERT_EQ(builder.Fits(t), reference.Fits(t, value))
+          << "page_size=" << page_size << " record=" << i;
+      if (!reference.Fits(t, value)) {
+        break;
+      }
+      builder.Add(t, value);
+      reference.Add(t, value);
+      t += kDeltas[static_cast<size_t>(i) % std::size(kDeltas)];
+    }
+    ASSERT_GT(builder.count(), 0);
+    EXPECT_EQ(builder.Seal(7, Seconds(31)), reference.Seal(7, Seconds(31)))
+        << "page_size=" << page_size;
+  }
+}
+
 class PageCodecPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PageCodecPropertyTest, RandomBatchesRoundTrip) {
@@ -144,7 +226,7 @@ TEST_P(PageCodecPropertyTest, RandomBatchesRoundTrip) {
   t = (t / kMillisecond) * kMillisecond;
   while (true) {
     const double v = rng.Gaussian(20, 30);
-    if (!builder.Fits(t, v)) {
+    if (!builder.Fits(t)) {
       break;
     }
     builder.Add(t, v);

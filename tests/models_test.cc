@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/models/ar.h"
@@ -13,6 +16,7 @@
 #include "src/models/registry.h"
 #include "src/models/seasonal.h"
 #include "src/models/spatial.h"
+#include "src/util/bytes.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -125,6 +129,16 @@ std::vector<Sample> DiurnalSeries(int days = 3, uint64_t seed = 5) {
 
 class ModelConsistencyTest : public ::testing::TestWithParam<ModelType> {};
 
+std::string ModelParamName(const ::testing::TestParamInfo<ModelType>& info) {
+  std::string name = ModelTypeName(info.param);
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
 TEST_P(ModelConsistencyTest, SerializeDeserializePredictIdentically) {
   const ModelConfig config = TestConfig();
   auto proxy_model = CreateModel(GetParam(), config);
@@ -192,15 +206,7 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ModelConsistencyTest,
                          ::testing::Values(ModelType::kLastValue, ModelType::kSeasonal,
                                            ModelType::kAr, ModelType::kSeasonalAr,
                                            ModelType::kMarkov),
-                         [](const auto& info) {
-                           std::string name = ModelTypeName(info.param);
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ModelParamName);
 
 // ---------- model quality ----------
 
@@ -260,6 +266,150 @@ TEST(ArModelTest, UncertaintyGrowsWithHorizon) {
     prev = sd;
   }
 }
+
+// ---------- forecast cursor ----------
+
+// AR forecasts continue from the window the previous call reached. The cursor is
+// derived state: every prediction must equal, bit for bit, the one a fresh copy makes
+// after loading the fit-time state and replaying the same anchors, and it must never
+// show up in SaveState bytes.
+class ForecastCursorTest : public ::testing::TestWithParam<ModelType> {
+ protected:
+  static constexpr int kMaxSteps = 48;
+
+  void SetUp() override {
+    config_ = TestConfig();
+    config_.max_forecast_steps = kMaxSteps;
+    model_ = CreateModel(GetParam(), config_);
+    const std::vector<Sample> history = DiurnalSeries();
+    ASSERT_TRUE(model_->Fit(history).ok());
+    t0_ = history.back().t;
+    ByteWriter w;
+    model_->SaveState(w);
+    fitted_state_ = w.TakeBuffer();
+  }
+
+  // A copy that has seen the fit and `anchors_` but never a Predict call.
+  std::unique_ptr<PredictiveModel> Fresh() const {
+    auto fresh = CreateModel(GetParam(), config_);
+    ByteReader r(fitted_state_);
+    EXPECT_TRUE(fresh->LoadState(r).ok());
+    for (const Sample& a : anchors_) {
+      fresh->OnAnchor(a);
+    }
+    return fresh;
+  }
+
+  static uint64_t Bits(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+  }
+
+  void ExpectMatchesFresh(const PredictiveModel& model, SimTime t) const {
+    const Prediction got = model.Predict(t);
+    const Prediction want = Fresh()->Predict(t);
+    EXPECT_EQ(Bits(got.value), Bits(want.value)) << "t=" << t;
+    EXPECT_EQ(Bits(got.stddev), Bits(want.stddev)) << "t=" << t;
+  }
+
+  static std::vector<uint8_t> StateBytes(const PredictiveModel& model) {
+    ByteWriter w;
+    model.SaveState(w);
+    return w.TakeBuffer();
+  }
+
+  void Anchor(const Sample& s) {
+    model_->OnAnchor(s);
+    anchors_.push_back(s);
+  }
+
+  SimTime Step(int k) const { return t0_ + k * kPeriod; }
+
+  ModelConfig config_;
+  std::unique_ptr<PredictiveModel> model_;
+  std::vector<uint8_t> fitted_state_;
+  std::vector<Sample> anchors_;
+  SimTime t0_ = 0;
+};
+
+TEST_P(ForecastCursorTest, MonotoneStepsPastTheHorizon) {
+  for (int k = 1; k <= kMaxSteps + 1; ++k) {
+    ExpectMatchesFresh(*model_, Step(k));
+    ExpectMatchesFresh(*model_, Step(k) + kPeriod / 3);  // off-grid, rounds to k
+  }
+  EXPECT_EQ(StateBytes(*model_), fitted_state_);
+}
+
+TEST_P(ForecastCursorTest, BackwardJumpsAndPastTimes) {
+  for (int k : {20, 5, 30, 30, 1, kMaxSteps, 7}) {
+    ExpectMatchesFresh(*model_, Step(k));
+  }
+  ExpectMatchesFresh(*model_, t0_);
+  ExpectMatchesFresh(*model_, t0_ - 3 * kPeriod);
+  ExpectMatchesFresh(*model_, t0_ + kPeriod / 4);  // after state_time, rounds to k = 0
+  ExpectMatchesFresh(*model_, Step(12));
+  EXPECT_EQ(StateBytes(*model_), fitted_state_);
+}
+
+TEST_P(ForecastCursorTest, AnchorsMidRun) {
+  for (int k = 1; k <= 20; ++k) {
+    ExpectMatchesFresh(*model_, Step(k));
+  }
+  Anchor(Sample{Step(12), 24.0});  // behind the cursor
+  for (int k = 13; k <= 30; ++k) {
+    ExpectMatchesFresh(*model_, Step(k));
+  }
+  ExpectMatchesFresh(*model_, Step(31));
+  Anchor(Sample{Step(31), 18.5});  // exactly at the cursor: the sensor's push path
+  ExpectMatchesFresh(*model_, Step(32));
+  Anchor(Sample{Step(45), 21.0});  // beyond the cursor
+  for (int k = 46; k <= 50; ++k) {
+    ExpectMatchesFresh(*model_, Step(k));
+  }
+  Anchor(Sample{Step(40), 30.0});  // stale: ignored
+  ExpectMatchesFresh(*model_, Step(47));
+  EXPECT_EQ(StateBytes(*model_), StateBytes(*Fresh()));
+}
+
+TEST_P(ForecastCursorTest, CloneAndStateRoundTripMidRun) {
+  Anchor(Sample{Step(3), 22.0});
+  for (int k = 4; k <= 25; ++k) {
+    ExpectMatchesFresh(*model_, Step(k));
+  }
+  // SaveState bytes do not depend on earlier Predict calls.
+  const std::vector<uint8_t> saved = StateBytes(*model_);
+  EXPECT_EQ(saved, StateBytes(*Fresh()));
+
+  auto clone = model_->Clone();
+  for (int k : {26, 27, 10, 40}) {
+    ExpectMatchesFresh(*clone, Step(k));
+  }
+  auto loaded = CreateModel(GetParam(), config_);
+  ByteReader r(saved);
+  ASSERT_TRUE(loaded->LoadState(r).ok());
+  for (int k : {26, 27, 10, 40}) {
+    ExpectMatchesFresh(*loaded, Step(k));
+  }
+  // Loading over a model with a live cursor discards it.
+  ByteReader again(fitted_state_);
+  ASSERT_TRUE(model_->LoadState(again).ok());
+  anchors_.clear();
+  for (int k : {26, 27, 5}) {
+    ExpectMatchesFresh(*model_, Step(k));
+  }
+
+  // Anchoring the clone leaves the original's cursor alone, and vice versa.
+  clone->OnAnchor(Sample{Step(30), 35.0});
+  ExpectMatchesFresh(*model_, Step(31));
+  Anchor(Sample{Step(28), 15.0});
+  ExpectMatchesFresh(*model_, Step(33));
+  EXPECT_NE(Bits(clone->Predict(Step(33)).value), Bits(model_->Predict(Step(33)).value));
+}
+
+INSTANTIATE_TEST_SUITE_P(ArFamily, ForecastCursorTest,
+                         ::testing::Values(ModelType::kAr, ModelType::kSeasonalAr),
+                         ModelParamName);
 
 TEST(MarkovModelTest, TracksRegimeSwitching) {
   // Two-level square wave with sticky states.
