@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/util/assert.h"
 #include "src/util/stats.h"
@@ -42,6 +43,45 @@ DeploymentConfig MakeDeploymentConfig(ArchitectureKind kind,
   return d;
 }
 
+// Issues a fixed query stream into one deployment's unified store. Each request is
+// a typed control-lane event at its issue time (store routing walks cross-shard
+// state, which only the barrier-serial context may touch), and each answer comes
+// back under the request's index as the store token. The stream takes over as the
+// store's query client, so the deployment it drives must issue no queries of its own.
+class QueryStream : public EventSink, public UnifiedStore::Client {
+ public:
+  explicit QueryStream(Deployment* deployment) : deployment_(deployment) {
+    deployment_->store().SetClient(this);
+  }
+
+  // Schedules the next request; its answer lands at result(<requests so far>).
+  void IssueAt(SimTime t, const QuerySpec& spec) {
+    EventPayload payload;
+    payload.a = specs_.size();
+    specs_.push_back(spec);
+    results_.emplace_back();
+    deployment_->sim().ScheduleEventAt(t, EventKind::kQuery, this, std::move(payload),
+                                       Simulator::kLaneControl);
+  }
+
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    PRESTO_CHECK(kind == EventKind::kQuery);
+    deployment_->store().Query(specs_[payload.a], payload.a);
+  }
+
+  // Runs in the serving proxy's lane; each request writes only its own slot.
+  void OnStoreQueryDone(uint64_t token, const UnifiedQueryResult& result) override {
+    results_[token] = result;
+  }
+
+  const UnifiedQueryResult& result(size_t i) const { return results_[i]; }
+
+ private:
+  Deployment* deployment_;
+  std::vector<QuerySpec> specs_;
+  std::vector<UnifiedQueryResult> results_;
+};
+
 }  // namespace
 
 const char* ArchitectureName(ArchitectureKind kind) {
@@ -72,16 +112,8 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
   const std::vector<QueryRequest> requests =
       GenerateQueries(qw, TimeInterval{config.warmup, query_end});
 
-  struct Outcome {
-    bool past = false;
-    UnifiedQueryResult result;
-    int global_sensor = 0;
-  };
-  std::vector<Outcome> outcomes(requests.size());
-  size_t completed = 0;
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const QueryRequest& request = requests[i];
+  QueryStream stream(&deployment);
+  for (const QueryRequest& request : requests) {
     const int proxy_index = request.sensor / config.sensors_per_proxy;
     const int sensor_index = request.sensor % config.sensors_per_proxy;
     QuerySpec spec;
@@ -93,23 +125,7 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
       spec.range = TimeInterval{request.issue_at - request.age,
                                 request.issue_at - request.age + request.window};
     }
-    outcomes[i].past = request.past;
-    outcomes[i].global_sensor = request.sensor;
-    // Query issue is pinned to the control lane: UnifiedStore routing walks
-    // cross-shard state (index, chains, proxy registries), which only the
-    // barrier-serial context may touch. Note this bench is still legacy-engine only
-    // (a no-op placement today): the completion callbacks below share `completed`
-    // and would themselves need control-lane routing before enabling lane_engine.
-    deployment.sim().ScheduleAt(
-        request.issue_at,
-        [&deployment, &outcomes, &completed, i, spec] {
-          deployment.store().Query(spec, [&outcomes, &completed,
-                                          i](const UnifiedQueryResult& r) {
-            outcomes[i].result = r;
-            ++completed;
-          });
-        },
-        Simulator::kLaneControl);
+    stream.IssueAt(request.issue_at, spec);
   }
   // Slack so trailing pulls can finish.
   deployment.RunUntil(query_end + Hours(1));
@@ -129,15 +145,16 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
   double past_sq_error = 0.0;
   int64_t past_points = 0;
 
-  for (const Outcome& outcome : outcomes) {
-    const QueryAnswer& answer = outcome.result.answer;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const UnifiedQueryResult& result = stream.result(i);
+    const QueryAnswer& answer = result.answer;
     const bool ok = answer.status.ok();
-    if (outcome.past) {
+    if (requests[i].past) {
       ++past_total;
       if (ok && !answer.samples.empty()) {
         ++past_ok;
         for (const Sample& s : answer.samples) {
-          const double truth = deployment.field().TruthAt(outcome.global_sensor, s.t);
+          const double truth = deployment.field().TruthAt(requests[i].sensor, s.t);
           past_sq_error += (s.value - truth) * (s.value - truth);
           ++past_points;
         }
@@ -146,7 +163,7 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
       ++now_total;
       if (ok) {
         ++now_ok;
-        now_latency.Add(ToMillis(outcome.result.Latency()));
+        now_latency.Add(ToMillis(result.Latency()));
       }
     }
     if (ok) {

@@ -15,6 +15,18 @@ constexpr uint64_t kOpPromote = 1;   // b = proxy index
 constexpr uint64_t kOpHandBack = 2;  // b = proxy index
 constexpr uint64_t kOpMigrate = 3;   // b = global index | (new owner << 32)
 
+// Shared/local mix of the temperature field.
+constexpr double kSpatialCorrelation = 0.85;
+// Sensor clocks: drift drawn uniformly in +/- kMaxDriftPpm, initial offset in
+// [0, kMaxClockOffset).
+constexpr double kMaxDriftPpm = 40.0;
+constexpr Duration kMaxClockOffset = Seconds(2);
+// Cache depth shipped with every state handover (migration, hand-back, recruit
+// snapshot), and the horizon promotion backfill repairs.
+constexpr Duration kHandoffHistory = Hours(4);
+// Smoothed max/min per-proxy load ratio above which a rebalance sweep acts.
+constexpr double kRebalanceMaxRatio = 1.5;
+
 }  // namespace
 
 Deployment::Deployment(const DeploymentConfig& config) : config_(config) {
@@ -58,7 +70,7 @@ void Deployment::Build(MeasureFactory measure_factory) {
   TemperatureParams field_params = config_.field;
   field_params.seed = config_.seed ^ 0x6669656c64;
   field_ = std::make_unique<TemperatureField>(total_sensors(), field_params,
-                                              config_.spatial_correlation);
+                                              kSpatialCorrelation);
   if (sim_.num_lanes() > 0) {
     // The shared component of the temperature field is built lazily on read; extend
     // it at each barrier so concurrent lane measurements are pure reads.
@@ -116,10 +128,9 @@ void Deployment::Build(MeasureFactory measure_factory) {
     sc.archive.nominal_sample_period = config_.sensing_period;
     sc.model_config = config_.model_config;
     sc.model_config.sample_period = config_.sensing_period;
-    sc.radio = config_.sensor_radio;
-    sc.drift_ppm = rng.Uniform(-config_.max_drift_ppm, config_.max_drift_ppm);
-    sc.clock_offset = static_cast<Duration>(
-        rng.Uniform(0.0, static_cast<double>(config_.max_clock_offset)));
+    sc.drift_ppm = rng.Uniform(-kMaxDriftPpm, kMaxDriftPpm);
+    sc.clock_offset =
+        static_cast<Duration>(rng.Uniform(0.0, static_cast<double>(kMaxClockOffset)));
     sc.seed = config_.seed ^ (0x5353 + static_cast<uint64_t>(g));
 
     sensors_.push_back(
@@ -260,7 +271,7 @@ std::vector<int> Deployment::DeriveChain(int global_index, int acting) {
       proxies_[static_cast<size_t>(r)]->RegisterSensor(id, config_.sensing_period,
                                                        /*replica=*/true);
       proxies_[static_cast<size_t>(acting)]->SendStateSnapshot(id, ProxyId(r),
-                                                              config_.handoff_history);
+                                                              kHandoffHistory);
     }
     chain.push_back(r);
     ++live;
@@ -351,8 +362,8 @@ void Deployment::ReviveProxy(int proxy_index) {
 
 void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
   if (kind == EventKind::kQuery) {
-    // A QueryAsync completion marshalled onto the control lane: pop the entry and
-    // complete it in control context, dispatched on the entry's origin tag.
+    // An external query's completion marshalled onto the control lane: pop the
+    // entry and complete it in control context, dispatched on the entry's origin tag.
     ExternalQuery done;
     {
       std::lock_guard<std::mutex> lock(external_m_);
@@ -362,9 +373,6 @@ void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
       external_.erase(it);
     }
     switch (done.origin) {
-      case ExternalQuery::Origin::kClosure:
-        done.on_done(done.result);
-        break;
       case ExternalQuery::Origin::kDriver: {
         PRESTO_CHECK(done.tag < drivers_.size());
         QueryOutcome outcome = OutcomeFromResult(done.result);
@@ -426,10 +434,9 @@ void Deployment::PromoteShardsOf(int proxy_index) {
     ApplyChain(g, DeriveChain(g, target));
     if (config_.promotion_backfill) {
       // The promoted owner's replicated state may be shallow (recruit snapshots ship
-      // handoff_history at recruit time) or holed (its own outage window): repair the
+      // kHandoffHistory at recruit time) or holed (its own outage window): repair the
       // promoted serving window from the sensor's flash archive in the background.
-      proxies_[static_cast<size_t>(target)]->BackfillFromArchive(
-          id, config_.handoff_history);
+      proxies_[static_cast<size_t>(target)]->BackfillFromArchive(id, kHandoffHistory);
     }
     ++shard_stats_.promotions;
     shard_stats_.last_promotion_at = sim_.Now();
@@ -452,7 +459,7 @@ void Deployment::HandBackShardsOf(int proxy_index) {
     if (!proxy_down_[static_cast<size_t>(acting)]) {
       // The acting owner ships what the revived proxy missed, then steps back down.
       ProxyNode& from = *proxies_[static_cast<size_t>(acting)];
-      from.SendStateSnapshot(id, ProxyId(proxy_index), config_.handoff_history);
+      from.SendStateSnapshot(id, ProxyId(proxy_index), kHandoffHistory);
       from.DemoteSensor(id);
     }
     // Restore the home chain (the home proxy kept its owner registration while
@@ -515,7 +522,7 @@ void Deployment::HandBackShardsOf(int proxy_index) {
         continue;
       }
       ApplyChain(g, DeriveChain(g, acting));
-      owner.SendStateSnapshot(id, ProxyId(proxy_index), config_.handoff_history);
+      owner.SendStateSnapshot(id, ProxyId(proxy_index), kHandoffHistory);
     }
   }
 }
@@ -545,7 +552,7 @@ void Deployment::ExecuteMigration(int global_index, int new_owner) {
   // State transfer over the wired mesh; ownership flips now, the snapshot fills the
   // new owner's cache a few (simulated) milliseconds later. The new owner can pull
   // meanwhile — it is a full owner, not a degraded replica.
-  src.SendStateSnapshot(id, ProxyId(new_owner), config_.handoff_history);
+  src.SendStateSnapshot(id, ProxyId(new_owner), kHandoffHistory);
   if (dst.ManagesSensor(id)) {
     dst.PromoteSensor(id);
   } else {
@@ -563,7 +570,7 @@ void Deployment::ExecuteMigration(int global_index, int new_owner) {
         replica.RegisterSensor(id, config_.sensing_period, /*replica=*/true);
         if (!proxy_down_[static_cast<size_t>(r)]) {
           // Seed the fresh standby so failover isn't cold.
-          src.SendStateSnapshot(id, ProxyId(r), config_.handoff_history);
+          src.SendStateSnapshot(id, ProxyId(r), kHandoffHistory);
         }
       }
     }
@@ -654,7 +661,7 @@ void Deployment::RebalanceSweep() {
     return;  // idle or near-idle window: background noise is not worth migrating
   }
   const auto balanced = [&](double max_load, double min_load) {
-    return max_load <= config_.rebalance_max_ratio * std::max(min_load, 1.0);
+    return max_load <= kRebalanceMaxRatio * std::max(min_load, 1.0);
   };
   if (balanced(busiest_load, calmest_load)) {
     return;  // balanced enough: re-packing would be pure churn
@@ -727,15 +734,6 @@ Deployment::ExternalQuery* Deployment::FindExternal(uint64_t id) {
   return it == external_.end() ? nullptr : &it->second;
 }
 
-void Deployment::QueryAsync(const QuerySpec& spec,
-                            std::function<void(const UnifiedQueryResult&)> on_done) {
-  PRESTO_CHECK(on_done != nullptr);
-  ExternalQuery entry;
-  entry.origin = ExternalQuery::Origin::kClosure;
-  entry.on_done = std::move(on_done);
-  QueryAsyncInternal(spec, std::move(entry));
-}
-
 void Deployment::QueryAsyncFederated(const QuerySpec& spec, uint64_t fed_qid) {
   PRESTO_CHECK_MSG(federation_client_ != nullptr,
                    "federation-tagged query without a client");
@@ -758,6 +756,15 @@ void Deployment::QueryAsyncInternal(const QuerySpec& spec, ExternalQuery entry) 
 }
 
 void Deployment::OnStoreQueryDone(uint64_t token, const UnifiedQueryResult& result) {
+  if ((token & kWaitToken) != 0) {
+    // QueryAndWait completes where the store answers, with no control-lane bounce.
+    // An answer whose wait already gave up at max_wait is dropped.
+    if (token == wait_token_) {
+      wait_result_ = result;
+      wait_token_ = 0;
+    }
+    return;
+  }
   // Park the result in the entry and bounce a typed event to the control lane,
   // where OnSimEvent completes it.
   ExternalQuery* pending = FindExternal(token);
@@ -776,12 +783,10 @@ QueryDriver& Deployment::AttachQueryDriver(const QueryDriverParams& params) {
   }
   PRESTO_CHECK_MSG(p.mix.num_sensors <= total_sensors(),
                    "driver namespace exceeds the sensor population");
-  // Completion routes by driver index, not the CompletionFn closure, so queries in
-  // flight serialize into a checkpoint and complete after restore.
+  // Completion routes by driver index, so queries in flight serialize into a
+  // checkpoint and complete after restore.
   const uint64_t driver_index = drivers_.size();
-  auto issue = [this, driver_index](const QueryRequest& request,
-                                    QueryDriver::CompletionFn done) {
-    (void)done;  // recorded via RecordOutcome when the tagged completion lands
+  auto issue = [this, driver_index](const QueryRequest& request) {
     QuerySpec spec;
     spec.sensor_id = GlobalSensorId(request.sensor);
     spec.tolerance = request.tolerance;
@@ -801,31 +806,25 @@ QueryDriver& Deployment::AttachQueryDriver(const QueryDriverParams& params) {
 }
 
 UnifiedQueryResult Deployment::QueryAndWait(const QuerySpec& spec, Duration max_wait) {
-  // Shared (not stack-referencing) wait state: on a timeout the store still holds
-  // the completion callback, and a late completion (e.g. a pull outliving
-  // max_wait) must write into state that is still alive, not a popped stack.
-  struct WaitState {
-    bool done = false;
-    UnifiedQueryResult result;
-  };
-  auto state = std::make_shared<WaitState>();
-  store_->Query(spec, [state](const UnifiedQueryResult& r) {
-    state->result = r;
-    state->done = true;
-  });
+  // The store's query count is checkpointed, so no wait token repeats across a
+  // restore: an answer abandoned at max_wait before a save never completes a later
+  // wait.
+  wait_token_ = kWaitToken | (store_->stats().queries + 1);
+  store_->Query(spec, wait_token_);
   const SimTime deadline = sim_.Now() + max_wait;
-  while (!state->done && sim_.NextEventTime() >= 0 &&
+  while (wait_token_ != 0 && sim_.NextEventTime() >= 0 &&
          sim_.NextEventTime() <= deadline) {
     sim_.Step();
   }
-  if (!state->done) {
+  if (wait_token_ != 0) {
+    wait_token_ = 0;  // abandon: the query stays in flight and its answer is dropped
     UnifiedQueryResult result;
     result.answer.status = DeadlineExceededError("query did not complete in max_wait");
     result.issued_at = sim_.Now();
     result.completed_at = sim_.Now();
     return result;
   }
-  return state->result;
+  return wait_result_;
 }
 
 }  // namespace presto

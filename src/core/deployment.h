@@ -91,9 +91,6 @@ struct DeploymentConfig {
   FlashParams flash;
   ArchiveParams archive;
   ModelConfig model_config;
-  NodeRadioConfig sensor_radio;        // powered=false; lpl/post-burst knobs
-  double max_drift_ppm = 40.0;         // per-sensor drift drawn uniformly in +/- this
-  Duration max_clock_offset = Seconds(2);
 
   // Proxy behaviour.
   ProxyMode proxy_mode = ProxyMode::kPresto;
@@ -108,12 +105,11 @@ struct DeploymentConfig {
   // KillProxy -> replica promotion lag (failure detection + takeover). Queries in the
   // window are served degraded through the unified store's failover chain.
   Duration promotion_delay = Seconds(30);
-  // Cache depth shipped when state is handed over (migration / revive hand-back).
-  Duration handoff_history = Hours(4);
   // Archive-backed backfill at failover promotion: the promoted proxy scans its cache
-  // over the last handoff_history for holes (shallow recruit snapshots, standby
-  // outage windows) and repairs them with one background pull from the sensor's flash
-  // archive, so the promoted window serves from cache instead of degrading.
+  // over the handoff history (the cache depth shipped with every state handover) for
+  // holes (shallow recruit snapshots, standby outage windows) and repairs them with
+  // one background pull from the sensor's flash archive, so the promoted window
+  // serves from cache instead of degrading.
   bool promotion_backfill = true;
   Duration pull_timeout = Minutes(10);
 
@@ -130,7 +126,7 @@ struct DeploymentConfig {
 
   // Load-aware rebalancing (opt-in): every rebalance_period, per-sensor query+push
   // window counters feed an EMA (one window is a noisy sample of the workload); if
-  // the smoothed per-proxy load ratio exceeds rebalance_max_ratio, the sweep
+  // the smoothed max/min per-proxy load ratio exceeds 1.5, the sweep
   // re-packs loaded sensors across all live proxies with a sticky global LPT
   // assignment and executes the migrations it implies (hottest differences first,
   // at most rebalance_max_moves a sweep). A sweep that acts drives to the packed
@@ -139,7 +135,6 @@ struct DeploymentConfig {
   // itself move-free.
   bool enable_rebalancing = false;
   Duration rebalance_period = Minutes(30);
-  double rebalance_max_ratio = 1.5;
   int rebalance_max_moves = 4;
   // EMA smoothing constant for the per-sensor window loads the sweep packs against:
   // higher tracks a shifting workload faster, lower rides out bursty windows.
@@ -154,7 +149,6 @@ struct DeploymentConfig {
 
   // World.
   TemperatureParams field;
-  double spatial_correlation = 0.85;
 
   NetworkParams net = DefaultDeploymentNet();
   uint64_t seed = 42;
@@ -239,21 +233,16 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // Mean sensor energy in joules (settles idle energy first).
   double MeanSensorEnergy();
 
-  // Issues a query and runs the simulator until it completes (or `max_wait` passes).
+  // Issues a query and runs the simulator until it completes (or `max_wait` passes;
+  // the query then stays in flight, checkpointable, and its answer is dropped).
   UnifiedQueryResult QueryAndWait(const QuerySpec& spec, Duration max_wait = Minutes(30));
 
   // External query entry without a host-loop round-trip: routing runs now (control
   // context only), execution rides the store's typed kQuery events in the serving
-  // proxy's lane, and `on_done` fires as a typed event on the *control lane* — so
-  // callers (federation routing, in-sim query drivers) never observe worker-lane
-  // context. The deployment must outlive the completion (it owns the simulator).
-  // Closure-form entries in flight block SaveCheckpoint.
-  void QueryAsync(const QuerySpec& spec,
-                  std::function<void(const UnifiedQueryResult&)> on_done);
-
-  // Federation-tagged entry: completion is delivered as
-  // federation_client->OnDeploymentQueryDone(fed_qid, result) — serializable, so
-  // cross-cell queries in flight survive a checkpoint.
+  // proxy's lane, and completion is delivered as
+  // federation_client->OnDeploymentQueryDone(fed_qid, result) by a typed event on
+  // the *control lane* — so callers never observe worker-lane context. The entry is
+  // a tagged record, so cross-cell queries in flight survive a checkpoint.
   void QueryAsyncFederated(const QuerySpec& spec, uint64_t fed_qid);
   void SetFederationClient(FederationQueryClient* client) {
     federation_client_ = client;
@@ -264,7 +253,8 @@ class Deployment : public EventSink, public UnifiedStore::Client {
 
   // Attaches an open-loop in-sim query driver targeting this deployment's sensors
   // (QueryRequest.sensor = global index; mix.num_sensors <= 0 defaults to the whole
-  // population). The driver issues through QueryAsync, so a single RunUntil carries
+  // population). The driver issues external queries tagged with its index, so a
+  // single RunUntil carries
   // the entire workload. Caller starts it: AttachQueryDriver(p).Start(duration).
   QueryDriver& AttachQueryDriver(const QueryDriverParams& params);
 
@@ -273,7 +263,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
 
   // Topology mutations (promotion, hand-back, migration) arrive as typed kMutation
   // events on the control lane: they touch every layer, so they only ever execute at
-  // epoch barriers (or inline in legacy mode). kQuery events are QueryAsync
+  // epoch barriers (or inline in legacy mode). kQuery events are external-query
   // completions marshalled from the serving proxy's lane back to control context.
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
   Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
@@ -284,8 +274,8 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // carries its own checksum inside the container): "net", "store", "shard_map",
   // "deploy", one "proxy/<p>" per proxy, "sensors", "drivers", and "sim" — composed
   // here so section boundaries match subsystem boundaries and a diff names the first
-  // divergent layer. Call at a barrier / between RunUntil calls only; fails (writing
-  // nothing partial) while a closure-form query is in flight. `prefix` namespaces
+  // divergent layer. Call at a barrier / between RunUntil calls only. `prefix`
+  // namespaces
   // the section names ("cell3/sim") for multi-deployment containers.
   Status SaveCheckpoint(Checkpoint* out, const std::string& prefix = "") const;
 
@@ -365,32 +355,27 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   ShardMgmtStats shard_stats_;
 
   // --- external query entry ---
-  // In-flight QueryAsync queries. The map is mutex-guarded because store
-  // completions run in serving-proxy lanes (concurrently for different proxies);
-  // each entry is only ever touched by its own query's events — the UnifiedStore
-  // pattern. Every entry carries a serializable origin tag except kClosure (ad-hoc
-  // callers), which blocks SaveCheckpoint while in flight.
+  // In-flight external queries (driver and federation). The map is mutex-guarded
+  // because store completions run in serving-proxy lanes (concurrently for
+  // different proxies); each entry is only ever touched by its own query's events —
+  // the UnifiedStore pattern.
   struct ExternalQuery {
+    // Value 0 is reserved (it named the retired closure origin); restores reject it.
     enum class Origin : uint8_t {
-      kClosure = 0,     // on_done closure (probes, tests) — not checkpointable
       kDriver = 1,      // attached QueryDriver: tag = driver index, past = class
       kFederation = 2,  // federation glue: tag = federation qid
     };
-    Origin origin = Origin::kClosure;
+    Origin origin = Origin::kDriver;
     uint64_t tag = 0;
     bool past = false;  // kDriver: the request's PAST/NOW class
     UnifiedQueryResult result;
-    std::function<void(const UnifiedQueryResult&)> on_done;
 
     friend constexpr uint64_t CkptEnumMax(Origin) { return 2; }
     template <typename Io>
     void CkptFields(Io& io) {
-      if (!Io::kLoading && origin == Origin::kClosure) {
-        io.Fail(FailedPreconditionError(
-            "deployment checkpoint: closure-form external query in flight"));
-      }
       io(origin, tag, past, result);
-      CkptReject(io, origin == Origin::kClosure, "deploy restore: closure query origin");
+      CkptReject(io, static_cast<uint8_t>(origin) == 0,
+                 "deploy restore: retired query origin");
     }
   };
   void QueryAsyncInternal(const QuerySpec& spec, ExternalQuery entry);
@@ -399,6 +384,11 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   std::map<uint64_t, ExternalQuery> external_;
   uint64_t next_external_id_ = 1;
   FederationQueryClient* federation_client_ = nullptr;
+  // QueryAndWait's store token: kWaitToken over the store's query ordinal, set only
+  // while a wait is live (0 otherwise). External-query ids never reach the top bit.
+  static constexpr uint64_t kWaitToken = uint64_t{1} << 63;
+  uint64_t wait_token_ = 0;
+  UnifiedQueryResult wait_result_;
   // Declared after sim_ so drivers (which hold pending arrival events) die first.
   std::vector<std::unique_ptr<QueryDriver>> drivers_;
 };

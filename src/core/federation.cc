@@ -27,6 +27,12 @@ constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 // is part of the run's observable history, exactly like a drained barrier.
 constexpr uint64_t kWorkerDeathMark = 0xdeadc377ull;
 
+// Message sizes on the trunk: a query request, a response envelope, and each
+// returned sample (PAST answers pay for their payload).
+constexpr size_t kQueryBytes = 64;
+constexpr size_t kResponseBaseBytes = 64;
+constexpr size_t kResponseSampleBytes = 16;
+
 }  // namespace
 
 FedEndpoint MakeFedEndpoint(const char* host, uint16_t port) {
@@ -143,7 +149,7 @@ void FedCell::Issue(const FederationQuerySpec& spec, Pending q) {
   // This origin->target trunk is driven only by this cell's control lane, so its
   // serialization clock stays single-writer and monotone under parallel stepping.
   const SimTime at = links_out_[static_cast<size_t>(target)]->Deliver(
-      q.result.issued_at, config_->query_bytes);
+      q.result.issued_at, kQueryBytes);
   ByteWriter body;
   CkptWrite(body, q.spec);
   pending_.emplace(qid, std::move(q));
@@ -174,9 +180,8 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
       const Status s = CkptRead(r, spec);
       PRESTO_CHECK_MSG(s.ok() && r.remaining() == 0,
                        "federation: bad execute mail body");
-      // Tagged (not closure) form: the deployment carries the fed qid through its
-      // own checkpointable pending table and calls OnDeploymentQueryDone when the
-      // store answers.
+      // The deployment carries the fed qid through its own checkpointable pending
+      // table and calls OnDeploymentQueryDone when the store answers.
       cell_->QueryAsyncFederated(spec, payload.b);
       return;
     }
@@ -200,7 +205,7 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
 }
 
 void FedCell::OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& result) {
-  // Runs on this cell's control lane (QueryAsync marshals completions there).
+  // Runs on this cell's control lane (the deployment marshals completions there).
   const int origin = OriginOf(qid);
   if (origin == index_) {
     if (pending_.find(qid) == pending_.end()) {
@@ -212,9 +217,8 @@ void FedCell::OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& resu
   }
   // Cross-cell: the answer rides the target->origin trunk home as FedMail (PAST
   // answers pay for their sample payload).
-  const size_t bytes = config_->response_base_bytes +
-                       result.answer.samples.size() *
-                           static_cast<size_t>(config_->response_sample_bytes);
+  const size_t bytes =
+      kResponseBaseBytes + result.answer.samples.size() * kResponseSampleBytes;
   const SimTime at =
       links_out_[static_cast<size_t>(origin)]->Deliver(cell_->sim().Now(), bytes);
   ByteWriter body;
@@ -265,13 +269,10 @@ int FedCell::AttachDriver(const QueryDriverParams& params) {
   }
   PRESTO_CHECK_MSG(p.mix.num_sensors <= directory_.total_sensors(),
                    "driver namespace exceeds the federation population");
-  // Tagged (slot) issue path: the pending entry carries this driver's slot
-  // instead of capturing the completion closure, so in-flight driver queries
-  // survive a checkpoint. Complete records the outcome directly.
+  // Tagged (slot) issue path: the pending entry carries this driver's slot, so
+  // in-flight driver queries survive a checkpoint. Complete records the outcome.
   const uint64_t slot = drivers_.size();
-  auto issue = [this, slot](const QueryRequest& request,
-                            QueryDriver::CompletionFn done) {
-    (void)done;  // completion flows through the driver-slot tag, not the closure
+  auto issue = [this, slot](const QueryRequest& request) {
     FederationQuerySpec fspec;
     fspec.fed_sensor = request.sensor;
     fspec.tolerance = request.tolerance;

@@ -65,7 +65,7 @@
 //
 // Query lifecycle (cross-cell): driver/host issues at origin O -> directory lookup
 // at O's gateway -> spec serialized into a FedMail on the O->T trunk -> drained at
-// a federation barrier -> executes in T via Deployment::QueryAsync (typed kQuery
+// a federation barrier -> executes in T via Deployment::QueryAsyncFederated (kQuery
 // stages in the serving proxy's lane, completion on T's control lane) -> result
 // serialized into a FedMail on the T->O trunk -> drained at a federation barrier ->
 // finalized on O's control lane (latency measured on O's clock end to end).
@@ -184,11 +184,6 @@ struct FederationConfig {
   Duration frame_deadline = Seconds(30);
   // Inter-cell trunk model (one directed CellLink per cell pair).
   CellLinkParams link;
-  // Message sizes on the trunk: a query request, a response envelope, and each
-  // returned sample (PAST answers pay for their payload).
-  uint32_t query_bytes = 64;
-  uint32_t response_base_bytes = 64;
-  uint32_t response_sample_bytes = 16;
   uint64_t seed = 42;
 };
 

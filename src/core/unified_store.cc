@@ -39,34 +39,17 @@ ProxyNode* UnifiedStore::FindProxy(NodeId proxy_id) const {
   return it == proxies_.end() ? nullptr : it->second;
 }
 
-void UnifiedStore::Query(const QuerySpec& spec,
-                         std::function<void(const UnifiedQueryResult&)> callback) {
-  PendingQuery pending;
-  pending.spec = spec;
-  pending.callback = std::move(callback);
-  QueryInternal(spec, std::move(pending));
-}
-
 void UnifiedStore::Query(const QuerySpec& spec, uint64_t token) {
-  PRESTO_CHECK_MSG(client_ != nullptr, "token-form store query without a client");
+  PRESTO_CHECK_MSG(client_ != nullptr, "store query without a client");
   PendingQuery pending;
   pending.spec = spec;
-  pending.has_token = true;
   pending.token = token;
-  QueryInternal(spec, std::move(pending));
-}
-
-void UnifiedStore::QueryInternal(const QuerySpec& spec, PendingQuery pending) {
   ++stats_.queries;
   const SimTime issued_at = sim_->Now();
 
   const auto complete_now = [this](PendingQuery& p) {
     p.result.completed_at = sim_->Now();
-    if (p.has_token) {
-      client_->OnStoreQueryDone(p.token, p.result);
-    } else {
-      p.callback(p.result);
-    }
+    client_->OnStoreQueryDone(p.token, p.result);
   };
 
   // Resolve the owner through the order-preserving index.
@@ -191,12 +174,7 @@ void UnifiedStore::OnSimEvent(EventKind kind, EventPayload& payload) {
     pending_.erase(it);
   }
   done.result.completed_at = sim_->Now();
-  if (done.has_token) {
-    PRESTO_CHECK_MSG(client_ != nullptr, "token-form store query without a client");
-    client_->OnStoreQueryDone(done.token, done.result);
-  } else {
-    done.callback(done.result);
-  }
+  client_->OnStoreQueryDone(done.token, done.result);
 }
 
 template <typename Io>

@@ -14,7 +14,6 @@
 #ifndef SRC_CORE_UNIFIED_STORE_H_
 #define SRC_CORE_UNIFIED_STORE_H_
 
-#include <functional>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -40,18 +39,17 @@ struct UnifiedStoreStats {
 // issued from control context (between epochs / at barriers) in lane mode. Query
 // *execution* is a pair of typed kQuery events pinned to the serving proxy's lane, so
 // the cache/model/pull work runs with that shard's other events; the completion
-// callback therefore also fires in the serving proxy's lane, synchronized with the
-// control thread by the epoch barrier.
+// therefore also lands in the serving proxy's lane, synchronized with the control
+// thread by the epoch barrier.
 //
 // Proxy-level execution uses the token query API (the store is each proxy's
-// PullClient), and the store exposes the same shape upward: callers that need their
-// in-flight queries to survive a checkpoint pass a token and implement
-// UnifiedStore::Client; the closure overload remains for call sites that never
-// checkpoint mid-query (tests, ad-hoc drivers).
+// PullClient), and the store exposes the same shape upward: a caller passes a token
+// and gets it back through UnifiedStore::Client, so every query in flight is a plain
+// record that survives a checkpoint.
 class UnifiedStore : public EventSink, public PullClient {
  public:
-  // Serializable completion target for token-form store queries (the checkpointable
-  // counterpart of the callback overload). Implemented by Deployment.
+  // Completion target of store queries, keyed by the caller's token. Implemented by
+  // Deployment.
   class Client {
    public:
     virtual ~Client() = default;
@@ -76,12 +74,9 @@ class UnifiedStore : public EventSink, public PullClient {
   // index-registration half of a replica promotion, live migration, or hand-back.
   void ReassignSensor(NodeId sensor_id, NodeId new_proxy);
 
-  // Routes and executes a query; the callback fires when the answer is complete.
-  // Closure-form queries in flight block SaveState.
-  void Query(const QuerySpec& spec,
-             std::function<void(const UnifiedQueryResult&)> callback);
-
-  // Token form: completion is delivered as client->OnStoreQueryDone(token, result).
+  // Routes and executes a query; completion is delivered as
+  // client->OnStoreQueryDone(token, result) — inline on a routing error, else from
+  // the serving proxy's lane.
   void Query(const QuerySpec& spec, uint64_t token);
   void SetClient(Client* client) { client_ = client; }
 
@@ -94,7 +89,7 @@ class UnifiedStore : public EventSink, public PullClient {
   void OnPullDone(uint64_t token, const QueryAnswer& answer) override;
 
   // Checkpoint codec: the distributed index (exact, including its RNG), holder
-  // chains, stats, and token-form pending queries. Restore assumes an identically
+  // chains, stats, and pending queries. Restore assumes an identically
   // constructed store (same proxies added in the same order).
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
@@ -103,33 +98,22 @@ class UnifiedStore : public EventSink, public PullClient {
 
  private:
   // One routed query in flight: spec + provenance-annotated result under
-  // construction, plus the completion target. Stage 0 (kQuery, b=0) executes the
+  // construction, plus the caller's token. Stage 0 (kQuery, b=0) executes the
   // query on the serving proxy; stage 1 (b=1) models the return hop and completes.
   // Entries for different proxies complete concurrently, so the map itself is
   // mutex-guarded; each entry is only ever touched by its own lane.
   struct PendingQuery {
     QuerySpec spec;
     UnifiedQueryResult result;
-    bool has_token = false;  // token form (serializable) vs closure form
     uint64_t token = 0;
-    std::function<void(const UnifiedQueryResult&)> callback;
     Duration route_delay = 0;
 
-    // Token form only: a closure cannot cross a checkpoint.
     template <typename Io>
     void CkptFields(Io& io) {
-      if (!Io::kLoading && !has_token) {
-        io.Fail(FailedPreconditionError(
-            "store checkpoint: closure-form query pending (use the token query API)"));
-      }
       io(spec, result, token, route_delay);
-      if constexpr (Io::kLoading) {
-        has_token = true;
-      }
     }
   };
 
-  void QueryInternal(const QuerySpec& spec, PendingQuery pending);
   ProxyNode* FindProxy(NodeId proxy_id) const;
   PendingQuery* FindPending(uint64_t id);
 

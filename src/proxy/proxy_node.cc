@@ -115,9 +115,9 @@ void ProxyNode::BackfillFromArchive(NodeId sensor_id, Duration horizon) {
 
 void ProxyNode::ScheduleBackfillDrain() {
   backfill_drain_pending_ = true;
-  // A typed event (payload.b == 1 marks a drain tick, distinguishing it from pull
-  // timeouts) rather than a closure, so a checkpoint taken while repairs are queued
-  // restores the drain cadence.
+  // payload.b == 1 marks a drain tick, distinguishing it from pull timeouts; the
+  // event is checkpointed, so a restore taken while repairs are queued keeps the
+  // drain cadence.
   EventPayload tick;
   tick.b = 1;
   sim_->ScheduleEventAt(sim_->Now() + config_.backfill_spacing, EventKind::kQuery, this,
@@ -457,9 +457,6 @@ void ProxyNode::Answer(const QueryAnswer& answer, const QueryOrigin& origin,
   switch (origin.kind) {
     case QueryOrigin::Kind::kNone:
       break;  // backfill repair: the pulled data landing in the cache is the answer
-    case QueryOrigin::Kind::kClosure:
-      origin.closure(answer);
-      break;
     case QueryOrigin::Kind::kToken:
       PRESTO_CHECK_MSG(pull_client_ != nullptr, "token query without a pull client");
       pull_client_->OnPullDone(origin.token, answer);
@@ -468,29 +465,8 @@ void ProxyNode::Answer(const QueryAnswer& answer, const QueryOrigin& origin,
 }
 
 void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
-                         QueryCallback callback) {
-  QueryNowInternal(sensor_id, tolerance, latency_bound,
-                   QueryOrigin::Closure(std::move(callback)));
-}
-
-void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
                          uint64_t token) {
-  QueryNowInternal(sensor_id, tolerance, latency_bound, QueryOrigin::Token(token));
-}
-
-void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
-                          QueryCallback callback) {
-  QueryPastInternal(sensor_id, range, tolerance,
-                    QueryOrigin::Closure(std::move(callback)));
-}
-
-void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
-                          uint64_t token) {
-  QueryPastInternal(sensor_id, range, tolerance, QueryOrigin::Token(token));
-}
-
-void ProxyNode::QueryNowInternal(NodeId sensor_id, double tolerance,
-                                 Duration latency_bound, QueryOrigin origin) {
+  QueryOrigin origin = QueryOrigin::Token(token);
   ++stats_.queries;
   const SimTime now = sim_->Now();
   auto it = sensors_.find(sensor_id);
@@ -609,8 +585,9 @@ void ProxyNode::AnswerDegradedNow(SensorState& sensor, SimTime now,
   Answer(answer, origin, /*is_now=*/true);
 }
 
-void ProxyNode::QueryPastInternal(NodeId sensor_id, TimeInterval range,
-                                  double tolerance, QueryOrigin origin) {
+void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
+                          uint64_t token) {
+  QueryOrigin origin = QueryOrigin::Token(token);
   ++stats_.queries;
   const SimTime now = sim_->Now();
   auto it = sensors_.find(sensor_id);

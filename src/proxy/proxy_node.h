@@ -20,7 +20,6 @@
 #define SRC_PROXY_PROXY_NODE_H_
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -75,11 +74,9 @@ void CkptFields(Io& io, QueryAnswer& answer) {
      answer.energy_j, answer.issued_at, answer.completed_at);
 }
 
-using QueryCallback = std::function<void(const QueryAnswer&)>;
-
-// Serializable completion target for the token-based query API: the client gets the
-// token it passed to QueryNow/QueryPast back with the answer. Implemented by the
-// unified store; tokens (unlike closures) survive a checkpoint.
+// Completion target of the query API: the client gets the token it passed to
+// QueryNow/QueryPast back with the answer, so a pending pull is a plain record that
+// survives a checkpoint. Implemented by the unified store.
 class PullClient {
  public:
   virtual ~PullClient() = default;
@@ -174,8 +171,8 @@ class ProxyNode : public NetNode, public EventSink {
   void SendStateSnapshot(NodeId sensor_id, NodeId to_proxy, Duration history);
 
   // Promotion-time gap repair: scans the cache over [now - horizon, now] for holes
-  // (a recruit's snapshot reaches only `handoff_history` deep at its recruit time, and
-  // a standby that was down missed its outage window entirely) and issues one
+  // (a recruit's snapshot reaches only the handoff history deep at its recruit time,
+  // and a standby that was down missed its outage window entirely) and issues one
   // background archive pull spanning them, so the freshly promoted owner serves that
   // window from cache instead of degrading. No-op for replicas and hole-free caches.
   // With backfill_spacing > 0 the repair is queued and drained one pull per spacing
@@ -186,14 +183,9 @@ class ProxyNode : public NetNode, public EventSink {
   // Starts maintenance (model management, matcher) — call once after wiring.
   void Start();
 
-  // --- query API (invoked by the unified store / examples / benches) ---
-  // Closure form: convenient for tests and benches, but a pull pending on a closure
-  // cannot be checkpointed. The token form routes the answer to the registered
-  // PullClient and is fully serializable.
-  void QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
-                QueryCallback callback);
-  void QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
-                 QueryCallback callback);
+  // --- query API (invoked by the unified store) ---
+  // The answer goes to the registered PullClient as OnPullDone(token, answer),
+  // synchronously on a cache hit or extrapolation, later for a pull.
   void QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
                 uint64_t token);
   void QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
@@ -208,9 +200,9 @@ class ProxyNode : public NetNode, public EventSink {
                          const EventHandle& handle, int lane) override;
 
   // Checkpoint codec: per-sensor state (cache, engine, sync, matcher), pending pulls
-  // (token/no-op origins only — closure-form pulls fail the save), backfill queue,
-  // timers and stats. LoadState expects a freshly constructed proxy with the same
-  // config; pull-timeout handles are re-captured via OnEventRestored.
+  // with their origins, backfill queue, timers and stats. LoadState expects a
+  // freshly constructed proxy with the same config; pull-timeout handles are
+  // re-captured via OnEventRestored.
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
   template <typename Io>
@@ -261,32 +253,21 @@ class ProxyNode : public NetNode, public EventSink {
           matcher(matcher_params) {}
   };
 
-  // Where a query's answer goes. kNone (backfill pulls: answer discarded) and kToken
-  // are serializable; kClosure is the legacy convenience form and blocks checkpointing
-  // while pending.
+  // Where a query's answer goes: nowhere (kNone: backfill pulls, whose answer is the
+  // data landing in the cache) or the pull client under a token. Value 1 is reserved
+  // (it named the retired closure origin); restores reject it.
   struct QueryOrigin {
-    enum class Kind : uint8_t { kNone = 0, kClosure = 1, kToken = 2 };
+    enum class Kind : uint8_t { kNone = 0, kToken = 2 };
     friend constexpr uint64_t CkptEnumMax(Kind) { return 2; }
     Kind kind = Kind::kNone;
     uint64_t token = 0;
-    QueryCallback closure;
 
     template <typename Io>
     void CkptFields(Io& io) {
-      if (!Io::kLoading && kind == Kind::kClosure) {
-        io.Fail(FailedPreconditionError(
-            "proxy checkpoint: closure-form pull pending (use the token query API)"));
-      }
       io(kind, token);
-      CkptReject(io, kind == Kind::kClosure, "proxy restore: closure origin");
+      CkptReject(io, static_cast<uint8_t>(kind) == 1, "proxy restore: retired origin");
     }
 
-    static QueryOrigin Closure(QueryCallback cb) {
-      QueryOrigin o;
-      o.kind = Kind::kClosure;
-      o.closure = std::move(cb);
-      return o;
-    }
     static QueryOrigin Token(uint64_t token) {
       QueryOrigin o;
       o.kind = Kind::kToken;
@@ -371,11 +352,6 @@ class ProxyNode : public NetNode, public EventSink {
   void HandleReplicaUpdate(const Message& message);
   void HandleReplicaModel(const Message& message);
   void HandleStateSnapshot(const Message& message);
-
-  void QueryNowInternal(NodeId sensor_id, double tolerance, Duration latency_bound,
-                        QueryOrigin origin);
-  void QueryPastInternal(NodeId sensor_id, TimeInterval range, double tolerance,
-                         QueryOrigin origin);
 
   void MaybeSendModel(SensorState& sensor);
   void RunMaintenance();

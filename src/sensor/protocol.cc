@@ -1,6 +1,27 @@
 #include "src/sensor/protocol.h"
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 namespace presto {
+namespace {
+
+// A configured period or interval. The receiver's timers and MAC abort on a
+// non-positive one, so it is refused here; a varint above INT64_MAX would cast
+// negative.
+Result<Duration> ReadPositiveDuration(ByteReader& r, const char* what) {
+  auto v = r.ReadVarU64();
+  if (!v.ok()) {
+    return v.status();
+  }
+  if (*v == 0 || *v > static_cast<uint64_t>(INT64_MAX)) {
+    return InvalidArgumentError(std::string("ConfigUpdate: non-positive ") + what);
+  }
+  return static_cast<Duration>(*v);
+}
+
+}  // namespace
 
 const char* PushReasonName(PushReason reason) {
   switch (reason) {
@@ -114,23 +135,26 @@ Result<ConfigUpdateMsg> ConfigUpdateMsg::Decode(span<const uint8_t> bytes) {
   ConfigUpdateMsg m;
   m.fields = *fields;
   if (m.fields & kCfgSensingPeriod) {
-    auto v = r.ReadVarU64();
+    auto v = ReadPositiveDuration(r, "sensing_period");
     if (!v.ok()) {
       return v.status();
     }
-    m.sensing_period = static_cast<Duration>(*v);
+    m.sensing_period = *v;
   }
   if (m.fields & kCfgBatchInterval) {
-    auto v = r.ReadVarU64();
+    auto v = ReadPositiveDuration(r, "batch_interval");
     if (!v.ok()) {
       return v.status();
     }
-    m.batch_interval = static_cast<Duration>(*v);
+    m.batch_interval = *v;
   }
   if (m.fields & kCfgPolicy) {
     auto v = r.ReadU8();
     if (!v.ok()) {
       return v.status();
+    }
+    if (*v > CkptEnumMax(PushPolicy{})) {
+      return InvalidArgumentError("ConfigUpdate: unknown push policy");
     }
     m.policy = static_cast<PushPolicy>(*v);
   }
@@ -147,15 +171,19 @@ Result<ConfigUpdateMsg> ConfigUpdateMsg::Decode(span<const uint8_t> bytes) {
     if (!on.ok() || !q.ok()) {
       return InvalidArgumentError("bad ConfigUpdate compression");
     }
+    // The wavelet encoder divides by the step and aborts on a non-positive one.
+    if (!(*q > 0.0f) || !std::isfinite(*q)) {
+      return InvalidArgumentError("ConfigUpdate: non-positive quant_step");
+    }
     m.compress = *on != 0;
     m.quant_step = static_cast<double>(*q);
   }
   if (m.fields & kCfgLplInterval) {
-    auto v = r.ReadVarU64();
+    auto v = ReadPositiveDuration(r, "lpl_interval");
     if (!v.ok()) {
       return v.status();
     }
-    m.lpl_interval = static_cast<Duration>(*v);
+    m.lpl_interval = *v;
   }
   return m;
 }

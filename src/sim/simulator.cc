@@ -79,9 +79,8 @@ size_t Simulator::RebindMatchingEvents(
     const EventKind kind = event.kind;
     EventSink* sink = event.sink;
     EventPayload payload = std::move(event.payload);
-    std::function<void()> fn = std::move(event.fn);
     ReleaseSlot(src, entry.slot);  // bumps gen: stale handles become no-ops
-    Enqueue(dst, entry.time, kind, sink, std::move(payload), std::move(fn));
+    Enqueue(dst, entry.time, kind, sink, std::move(payload));
     ++moved;
   }
   for (const QueueEntry& entry : keep) {
@@ -152,27 +151,15 @@ int Simulator::ResolveLane(int lane) const {
   return lane;
 }
 
-EventHandle Simulator::ScheduleAt(SimTime t, std::function<void()> fn, int lane) {
-  PRESTO_CHECK_MSG(t >= Now(), "cannot schedule into the past");
-  return Push(ResolveLane(lane), t, EventKind::kCallback, nullptr, EventPayload{},
-              std::move(fn));
-}
-
-EventHandle Simulator::ScheduleIn(Duration delay, std::function<void()> fn, int lane) {
-  PRESTO_CHECK_MSG(delay >= 0, "negative delay");
-  return ScheduleAt(Now() + delay, std::move(fn), lane);
-}
-
 EventHandle Simulator::ScheduleEventAt(SimTime t, EventKind kind, EventSink* sink,
                                        EventPayload payload, int lane) {
   PRESTO_CHECK_MSG(t >= Now(), "cannot schedule into the past");
-  PRESTO_CHECK(sink != nullptr && kind != EventKind::kCallback);
-  return Push(ResolveLane(lane), t, kind, sink, std::move(payload), nullptr);
+  PRESTO_CHECK(sink != nullptr);
+  return Push(ResolveLane(lane), t, kind, sink, std::move(payload));
 }
 
 EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
-                            EventSink* sink, EventPayload&& payload,
-                            std::function<void()>&& fn) {
+                            EventSink* sink, EventPayload&& payload) {
   const int current = CurrentLane();
   if (current == Simulator::kLaneControl) {
     // Only control-context schedules can be "the first ever" (a lane cannot execute
@@ -185,7 +172,7 @@ EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
     // deterministic source order) at the next barrier. Not cancellable.
     Lane& target = lanes_[static_cast<size_t>(internal_lane)];
     target.inbox[static_cast<size_t>(current)].push_back(
-        Mail{t, kind, sink, std::move(payload), std::move(fn)});
+        Mail{t, kind, sink, std::move(payload)});
     return EventHandle();
   }
   if (lane_mode_ && current == kLaneControl && internal_lane != ControlIndex() &&
@@ -197,12 +184,12 @@ EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
     t = global_now_;
   }
   Lane& lane = lanes_[static_cast<size_t>(internal_lane)];
-  const uint32_t slot = Enqueue(lane, t, kind, sink, std::move(payload), std::move(fn));
+  const uint32_t slot = Enqueue(lane, t, kind, sink, std::move(payload));
   return EventHandle(this, internal_lane, slot, lane.pool[slot].gen);
 }
 
 uint32_t Simulator::Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* sink,
-                            EventPayload&& payload, std::function<void()>&& fn) {
+                            EventPayload&& payload) {
   uint32_t slot;
   if (!lane.free_slots.empty()) {
     slot = lane.free_slots.back();
@@ -215,7 +202,6 @@ uint32_t Simulator::Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* si
   event.kind = kind;
   event.sink = sink;
   event.payload = std::move(payload);
-  event.fn = std::move(fn);
   lane.queue.push(QueueEntry{t, lane.next_seq++, slot, event.gen});
   return slot;
 }
@@ -232,7 +218,6 @@ void Simulator::ReleaseSlot(Lane& lane, uint32_t slot) {
   Event& event = lane.pool[slot];
   ++event.gen;  // invalidates queue entries and handles of the old generation
   event.sink = nullptr;
-  event.fn = nullptr;
   // Release the payload buffer: the next occupant move-assigns its own vector over
   // this one, so retained capacity would only pin the last frame's allocation.
   event.payload.bytes = std::vector<uint8_t>();
@@ -257,13 +242,8 @@ bool Simulator::ExecuteOne(Lane& lane) {
   const EventKind kind = event.kind;
   EventSink* sink = event.sink;
   EventPayload payload = std::move(event.payload);
-  std::function<void()> fn = std::move(event.fn);
   ReleaseSlot(lane, entry.slot);
-  if (kind == EventKind::kCallback) {
-    fn();
-  } else {
-    sink->OnSimEvent(kind, payload);
-  }
+  sink->OnSimEvent(kind, payload);
   return true;
 }
 
@@ -297,7 +277,7 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
     for (std::vector<Mail>& box : target.inbox) {
       for (Mail& mail : box) {
         Enqueue(target, std::max(mail.time, start), mail.kind, mail.sink,
-                std::move(mail.payload), std::move(mail.fn));
+                std::move(mail.payload));
         ++drained;
       }
       box.clear();
@@ -518,12 +498,12 @@ void Simulator::CkptFields(Io& io) {
     Lane& lane = lanes_[li];
     inboxes[li].resize(lane.inbox.size());
     if constexpr (!Io::kLoading) {
-      const auto sink_index = [&](EventKind kind, EventSink* sink) -> uint64_t {
+      const auto sink_index = [&](EventSink* sink) -> uint64_t {
         auto sid = sink_ids_.find(sink);
-        if (kind == EventKind::kCallback || sid == sink_ids_.end()) {
+        if (sid == sink_ids_.end()) {
           io.Fail(FailedPreconditionError(
-              "checkpoint: pending kCallback closure or unregistered sink in lane " +
-              std::to_string(li) + " (typed events only)"));
+              "checkpoint: pending event for an unregistered sink in lane " +
+              std::to_string(li)));
           return 0;
         }
         return sid->second;
@@ -535,15 +515,13 @@ void Simulator::CkptFields(Io& io) {
         const Event& event = lane.pool[entry.slot];
         if (event.gen == entry.gen) {
           queues[li].push_back(SavedEvent{entry.time, entry.seq, event.kind,
-                                          sink_index(event.kind, event.sink),
-                                          event.payload});
+                                          sink_index(event.sink), event.payload});
         }
       }
       for (size_t b = 0; b < lane.inbox.size(); ++b) {
         for (const Mail& mail : lane.inbox[b]) {
-          inboxes[li][b].push_back(
-              SavedMail{mail.time, mail.kind, sink_index(mail.kind, mail.sink),
-                        mail.payload});
+          const uint64_t sink = sink_index(mail.sink);
+          inboxes[li][b].push_back(SavedMail{mail.time, mail.kind, sink, mail.payload});
         }
       }
     }
@@ -567,8 +545,9 @@ PRESTO_CKPT_FIELDS(Simulator);
 Status Simulator::RestoreQueues(
     std::vector<std::vector<SavedEvent>>& queues,
     std::vector<std::vector<std::vector<SavedMail>>>& inboxes) {
+  // Kind 0 is the retired closure event: never written, so never accepted.
   const auto typed = [&](EventKind kind, uint64_t sink) {
-    return kind != EventKind::kCallback && sink < sinks_.size();
+    return static_cast<uint8_t>(kind) != 0 && sink < sinks_.size();
   };
   for (size_t li = 0; li < lanes_.size(); ++li) {
     const std::vector<SavedEvent>& queue = queues[li];
@@ -619,7 +598,7 @@ Status Simulator::RestoreQueues(
     for (size_t b = 0; b < lane.inbox.size(); ++b) {
       lane.inbox[b].clear();
       for (SavedMail& m : inboxes[li][b]) {
-        Mail mail{m.time, m.kind, sinks_[m.sink], std::move(m.payload), {}};
+        Mail mail{m.time, m.kind, sinks_[m.sink], std::move(m.payload)};
         lane.inbox[b].push_back(std::move(mail));
       }
     }

@@ -94,7 +94,8 @@ class CkptOut {
   // Raw access for nested codecs that own their framing (models, bitmaps).
   ByteWriter& writer() { return w_; }
 
-  // A save can refuse state that cannot cross a checkpoint (a pending closure).
+  // A save can refuse state that cannot cross a checkpoint (a federation host
+  // probe in flight, an event for an unregistered sink).
   void Fail(Status s) {
     if (status_.ok()) {
       status_ = std::move(s);

@@ -1,6 +1,7 @@
 #include "src/wavelet/codec.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/util/assert.h"
 #include "src/util/bitpack.h"
@@ -27,10 +28,14 @@ void WriteMagnitude(BitWriter* w, uint64_t v) {
   }
 }
 
+// Inverse of WriteMagnitude; 0 (never written) for a bucket wider than 63 bits.
 uint64_t ReadMagnitude(BitReader* r) {
   const int bucket = r->ReadUnary();
   if (bucket == 0) {
     return 1;
+  }
+  if (bucket > 63) {
+    return 0;
   }
   return (1ULL << bucket) | r->ReadBits(bucket);
 }
@@ -47,6 +52,19 @@ std::vector<Sample> GridSamples(SimTime start, Duration period,
     out.push_back(Sample{start + static_cast<Duration>(i) * period, values[i]});
   }
   return out;
+}
+
+// Whether a regular grid of `n` samples from `start` every `period` (>= 0) ends at
+// a representable time; every earlier sample then fits too.
+bool GridFits(SimTime start, Duration period, uint64_t n) {
+  if (n == 0) {
+    return true;
+  }
+  SimTime span = 0;
+  if (__builtin_mul_overflow(static_cast<int64_t>(n - 1), period, &span)) {
+    return false;
+  }
+  return !__builtin_add_overflow(start, span, &span);
 }
 
 }  // namespace
@@ -135,12 +153,24 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
   if (!count.ok() || !start.ok() || !period.ok()) {
     return InvalidArgumentError("codec: truncated batch header");
   }
+  if (*period > static_cast<uint64_t>(INT64_MAX)) {
+    return InvalidArgumentError("codec: negative batch period");
+  }
   DecodedBatch out;
   out.format = static_cast<BatchFormat>(*format);
   out.start = *start;
   out.period = static_cast<Duration>(*period);
+  // The header is untrusted: every sample it claims must be backed by bytes that
+  // follow (or, for wavelet batches, by the coefficient bitmap), and a regular
+  // grid's last timestamp must be representable.
 
   if (*format == static_cast<uint8_t>(BatchFormat::kRaw)) {
+    if (*count > r.remaining() / 4) {
+      return InvalidArgumentError("codec: raw batch count exceeds its payload");
+    }
+    if (!GridFits(out.start, out.period, *count)) {
+      return InvalidArgumentError("codec: raw batch timestamps overflow");
+    }
     std::vector<double> values;
     values.reserve(*count);
     for (uint64_t i = 0; i < *count; ++i) {
@@ -154,6 +184,11 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
     return out;
   }
   if (*format == static_cast<uint8_t>(BatchFormat::kIrregular)) {
+    // Each sample is at least a one-byte delta and a float32.
+    if (*count > r.remaining() / 5) {
+      return InvalidArgumentError("codec: irregular batch count exceeds its payload");
+    }
+    out.samples.reserve(*count);
     SimTime t = out.start;
     for (uint64_t i = 0; i < *count; ++i) {
       auto delta = r.ReadVarU64();
@@ -161,7 +196,10 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
       if (!delta.ok() || !v.ok()) {
         return InvalidArgumentError("codec: truncated irregular batch");
       }
-      t += static_cast<Duration>(*delta) * kMillisecond;
+      if (*delta > static_cast<uint64_t>(INT64_MAX / kMillisecond) ||
+          __builtin_add_overflow(t, static_cast<Duration>(*delta) * kMillisecond, &t)) {
+        return InvalidArgumentError("codec: irregular batch timestamps overflow");
+      }
       out.samples.push_back(Sample{t, static_cast<double>(*v)});
     }
     return out;
@@ -180,11 +218,25 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
   if (*count == 0) {
     return InvalidArgumentError("codec: empty wavelet batch");
   }
+  if (*kind > CkptEnumMax(WaveletKind{})) {
+    return InvalidArgumentError("codec: unknown wavelet kind");
+  }
+  // The bitmap spends at least one bit per padded coefficient.
+  const uint64_t bitmap_bits = 8 * static_cast<uint64_t>(packed->size());
+  if (*count > bitmap_bits || NextPowerOfTwo(*count) > bitmap_bits) {
+    return InvalidArgumentError("codec: wavelet batch count exceeds its bitmap");
+  }
+  if (!GridFits(out.start, out.period, *count)) {
+    return InvalidArgumentError("codec: wavelet batch timestamps overflow");
+  }
   DwtCoeffs coeffs;
   coeffs.kind = static_cast<WaveletKind>(*kind);
   coeffs.levels = *levels;
   coeffs.original_length = *count;
   coeffs.data.assign(NextPowerOfTwo(*count), 0.0);
+  if (coeffs.levels >= 64 || (coeffs.PaddedLength() >> coeffs.levels) == 0) {
+    return InvalidArgumentError("codec: more wavelet levels than the batch supports");
+  }
 
   BitReader bits(*packed);
   for (double& c : coeffs.data) {
@@ -193,6 +245,9 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
     }
     const bool negative = bits.ReadBits(1) == 1;
     const uint64_t magnitude = ReadMagnitude(&bits);
+    if (magnitude == 0) {
+      return InvalidArgumentError("codec: wavelet coefficient overflows 64 bits");
+    }
     const double value = static_cast<double>(magnitude) * static_cast<double>(*quant);
     c = negative ? -value : value;
   }

@@ -126,7 +126,7 @@ void QueryDriver::OnSimEvent(EventKind kind, EventPayload& payload) {
   }
   QueryRequest request = DrawQueryRequest(rng_, params_.mix, sim_->Now());
   ++stats_.issued;
-  issue_fn_(request, [this](const QueryOutcome& outcome) { Record(outcome); });
+  issue_fn_(request);
   // Open loop: the next arrival rides the clock, not this query's completion.
   next_at_ = std::max(next_at_ + NextGap(), sim_->Now());
   if (until_ >= 0 && next_at_ >= until_) {
@@ -161,7 +161,7 @@ PRESTO_CKPT_FIELDS(QueryDriver);
 Status QueryDriver::SaveState(ByteWriter& w) const { return CkptSave(w, *this); }
 Status QueryDriver::LoadState(ByteReader& r) { return CkptRead(r, *this); }
 
-void QueryDriver::Record(const QueryOutcome& outcome) {
+void QueryDriver::RecordOutcome(const QueryOutcome& outcome) {
   ++stats_.completed;
   if (!outcome.ok) {
     ++stats_.failed;

@@ -11,9 +11,9 @@
 // Layering: the driver knows simulators and QueryRequests, not proxies or stores.
 // The binding to a concrete query path is the IssueFn — Deployment::AttachQueryDriver
 // issues into its unified store, Federation::AttachQueryDriver into the cross-cell
-// router. The glue must invoke the completion callback from control context (both
-// bindings marshal completions onto the control lane), so recording is serial and
-// needs no locks.
+// router. The glue tags each query in flight with the driver's index and calls
+// RecordOutcome from control context when it completes (both bindings marshal
+// completions onto the control lane), so recording is serial and needs no locks.
 //
 // Determinism: arrivals draw from a seeded Pcg32 stream and execute as simulator
 // events, so issue times, targets, and the recorded outcomes are part of the replay
@@ -135,10 +135,9 @@ void CkptFields(Io& io, QueryDriverStats& v) {
 
 class QueryDriver : public EventSink {
  public:
-  using CompletionFn = std::function<void(const QueryOutcome&)>;
-  // Issues one request into the system under test. `done` must be invoked from
-  // control context exactly once when the query completes (or fails).
-  using IssueFn = std::function<void(const QueryRequest& request, CompletionFn done)>;
+  // Issues one request into the system under test. The glue reports the query's
+  // end through RecordOutcome, exactly once.
+  using IssueFn = std::function<void(const QueryRequest& request)>;
 
   // `sim` must outlive the driver. The driver must outlive every in-flight query
   // (its owner destroys it before the simulator).
@@ -159,11 +158,8 @@ class QueryDriver : public EventSink {
   const QueryDriverParams& params() const { return params_; }
   const QueryDriverStats& stats() const { return stats_; }
 
-  // Records a completed outcome directly — the token-form completion path, used by
-  // glue that tags in-flight queries with a driver index instead of capturing the
-  // CompletionFn closure (closures cannot survive a checkpoint). Control context
-  // only, like CompletionFn.
-  void RecordOutcome(const QueryOutcome& outcome) { Record(outcome); }
+  // Records a completed (or failed) query. Control context only.
+  void RecordOutcome(const QueryOutcome& outcome);
 
   void OnSimEvent(EventKind kind, EventPayload& payload) override;  // arrivals
   Status OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
@@ -179,7 +175,6 @@ class QueryDriver : public EventSink {
 
  private:
   Duration NextGap();
-  void Record(const QueryOutcome& outcome);
 
   Simulator* sim_;
   QueryDriverParams params_;

@@ -128,6 +128,61 @@ TEST(DeploymentCheckpointTest, RoundTripMatchesUninterruptedRunAtAnyThreadCount)
   }
 }
 
+// A QueryAndWait that gives up at max_wait leaves its query in flight as a plain
+// store record: the checkpoint taken right after must succeed and replay it, and a
+// later wait in the restored run must get its own answer, not the abandoned one.
+TEST(DeploymentCheckpointTest, SavesWhileAnAbandonedWaitIsInFlight) {
+  for (const int threads : {1, 4}) {
+    const SimTime wait_at = Hours(1) + Minutes(5);
+    const SimTime end = Hours(1) + Minutes(30);
+    // Tolerance 0 over a recent range: the cache cannot answer, so the query pulls
+    // from the sensor's archive, which takes far longer than max_wait.
+    QuerySpec pull;
+    pull.type = QueryType::kPast;
+    pull.sensor_id = Deployment::SensorId(2, 1);
+    pull.tolerance = 0.0;
+    pull.range = TimeInterval{wait_at - Minutes(10), wait_at - Minutes(5)};
+    QuerySpec probe;
+    probe.sensor_id = Deployment::SensorId(1, 3);
+    probe.tolerance = 5.0;
+
+    Checkpoint ckpt;
+    uint64_t fp_cont = 0;
+    uint64_t hist_cont = 0;
+    UnifiedQueryResult probe_cont;
+    {
+      Deployment deployment(CkptDeploymentConfig(threads));
+      deployment.Start();
+      deployment.RunUntil(Hours(1));
+      QueryDriver& driver = deployment.AttachQueryDriver(CkptDriverParams());
+      driver.Start(Minutes(25));
+      deployment.RunUntil(wait_at);
+      const UnifiedQueryResult abandoned = deployment.QueryAndWait(pull, Millis(1));
+      ASSERT_EQ(abandoned.answer.status.code(), StatusCode::kDeadlineExceeded)
+          << "the pull completed inside max_wait: the test is vacuous";
+      const Status saved = deployment.SaveCheckpoint(&ckpt);
+      ASSERT_TRUE(saved.ok()) << saved.message();
+      probe_cont = deployment.QueryAndWait(probe);
+      deployment.RunUntil(end);
+      fp_cont = deployment.sim().fingerprint();
+      hist_cont = driver.stats().latency.Hash();
+    }
+    Deployment deployment(CkptDeploymentConfig(threads));
+    deployment.Start();
+    QueryDriver& driver = deployment.AttachQueryDriver(CkptDriverParams());
+    ASSERT_TRUE(deployment.LoadCheckpoint(ckpt).ok());
+    const UnifiedQueryResult probe_restored = deployment.QueryAndWait(probe);
+    ASSERT_TRUE(probe_restored.answer.status.ok())
+        << probe_restored.answer.status.message();
+    EXPECT_EQ(probe_restored.answer.source, probe_cont.answer.source);
+    EXPECT_EQ(probe_restored.answer.value, probe_cont.answer.value);
+    EXPECT_EQ(probe_restored.completed_at, probe_cont.completed_at);
+    deployment.RunUntil(end);
+    EXPECT_EQ(deployment.sim().fingerprint(), fp_cont) << "threads=" << threads;
+    EXPECT_EQ(driver.stats().latency.Hash(), hist_cont) << "threads=" << threads;
+  }
+}
+
 // A checkpoint taken between KillProxy and its promotion event must carry the
 // pending promotion (timer in the simulator section, re-captured on restore), and
 // one taken mid-backfill must carry the queued paced archive pulls — the restored

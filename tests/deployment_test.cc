@@ -778,24 +778,30 @@ TEST(BatchingTest, ConcurrentQueriesShareOnePull) {
   deployment.Start();
   deployment.RunUntil(Hours(3));
 
-  const NodeId sensor = Deployment::SensorId(0, 0);
-  int answered = 0;
-  QueryAnswer first_answer;
-  auto on_answer = [&](const QueryAnswer& answer) {
-    ++answered;
-    if (answered == 1) {
-      first_answer = answer;
-    } else {
-      EXPECT_EQ(answer.value, first_answer.value) << "riders must see the pulled data";
+  // The test talks to the proxy directly, so it stands in for the store as the
+  // proxy's pull client.
+  struct Answers : PullClient {
+    std::vector<uint64_t> tokens;
+    std::vector<QueryAnswer> answers;
+    void OnPullDone(uint64_t token, const QueryAnswer& answer) override {
+      tokens.push_back(token);
+      answers.push_back(answer);
     }
-  };
-  deployment.proxy(0).QueryNow(sensor, 1.0, Seconds(30), on_answer);
-  deployment.proxy(0).QueryNow(sensor, 1.0, Seconds(30), on_answer);
-  deployment.proxy(0).QueryNow(sensor, 1.0, Seconds(30), on_answer);
+  } client;
+  deployment.proxy(0).SetPullClient(&client);
+  const NodeId sensor = Deployment::SensorId(0, 0);
+  for (uint64_t token = 1; token <= 3; ++token) {
+    deployment.proxy(0).QueryNow(sensor, 1.0, Seconds(30), token);
+  }
   deployment.RunUntil(deployment.sim().Now() + Minutes(15));
 
-  EXPECT_EQ(answered, 3);
+  ASSERT_EQ(client.answers.size(), 3u);
+  EXPECT_EQ(client.tokens, (std::vector<uint64_t>{1, 2, 3}));
+  const QueryAnswer& first_answer = client.answers[0];
   ASSERT_TRUE(first_answer.status.ok()) << first_answer.status.ToString();
+  for (const QueryAnswer& answer : client.answers) {
+    EXPECT_EQ(answer.value, first_answer.value) << "riders must see the pulled data";
+  }
   EXPECT_EQ(deployment.proxy(0).stats().pulls, 1u) << "one radio transaction expected";
   EXPECT_EQ(deployment.proxy(0).stats().coalesced_pulls, 2u);
 }
@@ -1146,7 +1152,7 @@ TEST(DynamicShardTest, RebalanceKnobsStillConverge) {
   EXPECT_EQ(deployment.store().stats().unroutable, 0u);
 }
 
-// ---------- external query entry (QueryAsync + in-sim driver) ----------
+// ---------- external query entry (tagged async queries + in-sim driver) ----------
 
 TEST(ExternalQueryTest, QueryAsyncCompletesOnControlContextWithoutHostStepping) {
   DeploymentConfig config;
@@ -1157,23 +1163,28 @@ TEST(ExternalQueryTest, QueryAsyncCompletesOnControlContextWithoutHostStepping) 
   deployment.Start();
   deployment.RunUntil(Hours(2));
 
-  // A batch of async queries issued up front, then one plain RunUntil: no per-query
-  // host loop. Every completion must arrive in control context.
-  int completed = 0;
-  int ok = 0;
+  // A batch of tagged async queries issued up front, then one plain RunUntil: no
+  // per-query host loop. Every completion must arrive in control context.
+  struct Completions : FederationQueryClient {
+    Deployment* deployment = nullptr;
+    std::vector<uint64_t> tags;
+    int ok = 0;
+    void OnDeploymentQueryDone(uint64_t tag, const UnifiedQueryResult& result) override {
+      EXPECT_EQ(deployment->sim().CurrentLane(), Simulator::kLaneControl);
+      tags.push_back(tag);
+      ok += result.answer.status.ok() ? 1 : 0;
+      EXPECT_GE(result.completed_at, result.issued_at);
+    }
+  } client;
+  client.deployment = &deployment;
+  deployment.SetFederationClient(&client);
   for (int g = 0; g < deployment.total_sensors(); ++g) {
-    deployment.QueryAsync(
-        NowSpec(deployment.GlobalSensorId(g), 3.0),
-        [&deployment, &completed, &ok](const UnifiedQueryResult& result) {
-          EXPECT_EQ(deployment.sim().CurrentLane(), Simulator::kLaneControl);
-          ++completed;
-          ok += result.answer.status.ok() ? 1 : 0;
-          EXPECT_GE(result.completed_at, result.issued_at);
-        });
+    deployment.QueryAsyncFederated(NowSpec(deployment.GlobalSensorId(g), 3.0),
+                                   static_cast<uint64_t>(g));
   }
   deployment.RunUntil(deployment.sim().Now() + Minutes(5));
-  EXPECT_EQ(completed, deployment.total_sensors());
-  EXPECT_EQ(ok, deployment.total_sensors());
+  EXPECT_EQ(client.tags.size(), static_cast<size_t>(deployment.total_sensors()));
+  EXPECT_EQ(client.ok, deployment.total_sensors());
 }
 
 TEST(ExternalQueryTest, AttachedDriverCarriesAWorkloadInOneRunUntil) {

@@ -53,12 +53,43 @@ TEST(QueryDriverTest, FixedRateIssuesOpenLoop) {
   params.mix.num_sensors = 4;
   params.mix.past_fraction = 0.0;
   // Completions never arrive — an open-loop driver must keep issuing regardless.
-  QueryDriver driver(&sim, params, [](const QueryRequest&, QueryDriver::CompletionFn) {});
+  QueryDriver driver(&sim, params, [](const QueryRequest&) {});
   driver.Start(Hours(1));
   sim.RunUntil(Hours(2));
   EXPECT_EQ(driver.stats().issued, 59u);  // arrivals at 1..59 min; 60 min hits until_
   EXPECT_EQ(driver.stats().completed, 0u);
 }
+
+// Synthetic system under test: completes every query 250 ms after issue as a typed
+// event carrying its issue time, failing every 3rd.
+class DelayedCompletions : public EventSink {
+ public:
+  explicit DelayedCompletions(Simulator* sim) : sim_(sim) {}
+  void Bind(QueryDriver* driver) { driver_ = driver; }
+
+  void Issue() {
+    EventPayload payload;
+    payload.a = static_cast<uint64_t>(sim_->Now());
+    payload.b = (++issued_ % 3) != 0 ? 1 : 0;
+    sim_->ScheduleEventAt(sim_->Now() + Millis(250), EventKind::kQuery, this,
+                          std::move(payload));
+  }
+
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    ASSERT_EQ(kind, EventKind::kQuery);
+    QueryOutcome outcome;
+    outcome.issued_at = static_cast<SimTime>(payload.a);
+    outcome.completed_at = sim_->Now();
+    outcome.ok = payload.b != 0;
+    outcome.source = outcome.ok ? 0 : 3;
+    driver_->RecordOutcome(outcome);
+  }
+
+ private:
+  Simulator* sim_;
+  QueryDriver* driver_ = nullptr;
+  int issued_ = 0;
+};
 
 TEST(QueryDriverTest, RecordsOutcomesAndHistogramDeterministically) {
   auto run = [] {
@@ -67,25 +98,9 @@ TEST(QueryDriverTest, RecordsOutcomesAndHistogramDeterministically) {
     params.mix.queries_per_hour = 360.0;
     params.mix.num_sensors = 16;
     params.mix.seed = 77;
-    QueryDriver* raw = nullptr;
-    // Synthetic sink: complete every query 250 ms after issue, failing every 3rd.
-    int n = 0;
-    QueryDriver driver(
-        &sim, params,
-        [&sim, &raw, &n](const QueryRequest& request, QueryDriver::CompletionFn done) {
-          const SimTime issued = sim.Now();
-          const bool ok = (++n % 3) != 0;
-          sim.ScheduleIn(Millis(250), [issued, ok, done, &sim] {
-            QueryOutcome outcome;
-            outcome.issued_at = issued;
-            outcome.completed_at = sim.Now();
-            outcome.ok = ok;
-            outcome.source = ok ? 0 : 3;
-            done(outcome);
-          });
-          (void)request;
-          (void)raw;
-        });
+    DelayedCompletions system(&sim);
+    QueryDriver driver(&sim, params, [&system](const QueryRequest&) { system.Issue(); });
+    system.Bind(&driver);
     driver.Start(Hours(1));
     sim.RunAll();
     return std::make_pair(driver.stats().latency.Hash(), driver.stats().completed);

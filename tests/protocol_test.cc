@@ -1,9 +1,16 @@
 // Wire-protocol round-trip and robustness tests: every proxy<->sensor message type,
-// plus malformed-input handling (a lossy radio must never crash a node).
+// plus malformed-input handling (a lossy radio must never crash a node) and decoded
+// values a receiver could not act on.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
+#include "src/net/network.h"
 #include "src/sensor/protocol.h"
+#include "src/sensor/sensor_node.h"
+#include "src/sim/simulator.h"
 #include "src/util/rng.h"
 
 namespace presto {
@@ -65,6 +72,101 @@ TEST(ProtocolTest, ConfigUpdateAllFields) {
   EXPECT_EQ(out->policy, PushPolicy::kBatched);
   EXPECT_NEAR(out->value_delta, 1.5, 1e-6);
   EXPECT_EQ(out->lpl_interval, Millis(500));
+}
+
+// The receiver's timers and MAC abort on a non-positive period, so the decoder must
+// refuse one, including a varint above INT64_MAX that would cast negative.
+TEST(ProtocolTest, ConfigUpdateRejectsNonPositiveDurations) {
+  for (const uint16_t field : {kCfgSensingPeriod, kCfgBatchInterval, kCfgLplInterval}) {
+    for (const Duration bad : {Duration{0}, Duration{-1}, Duration{INT64_MIN}}) {
+      ConfigUpdateMsg in;
+      in.fields = field;
+      in.sensing_period = bad;
+      in.batch_interval = bad;
+      in.lpl_interval = bad;
+      auto out = ConfigUpdateMsg::Decode(in.Encode());
+      ASSERT_FALSE(out.ok()) << "field " << field << " value " << bad;
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(ProtocolTest, ConfigUpdateRejectsNonPositiveQuantStep) {
+  for (const double bad : {0.0, -0.5, std::nan("")}) {
+    ConfigUpdateMsg in;
+    in.fields = kCfgCompression;
+    in.compress = true;
+    in.quant_step = bad;
+    auto out = ConfigUpdateMsg::Decode(in.Encode());
+    ASSERT_FALSE(out.ok()) << "quant_step " << bad;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ProtocolTest, ConfigUpdateRejectsUnknownPolicy) {
+  ConfigUpdateMsg in;
+  in.fields = kCfgPolicy;
+  in.policy = static_cast<PushPolicy>(CkptEnumMax(PushPolicy{}));
+  ASSERT_TRUE(ConfigUpdateMsg::Decode(in.Encode()).ok());
+  for (const int bad : {static_cast<int>(CkptEnumMax(PushPolicy{})) + 1, 255}) {
+    in.policy = static_cast<PushPolicy>(bad);
+    auto out = ConfigUpdateMsg::Decode(in.Encode());
+    ASSERT_FALSE(out.ok()) << "policy byte " << bad;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// A sensor handed a config update that would zero its sensing period, LPL interval
+// or quantization step drops it and keeps sampling on its old schedule.
+TEST(ProtocolTest, SensorSurvivesInvalidConfigUpdates) {
+  Simulator sim;
+  Network net(&sim, NetworkParams{}, 7);
+  SensorNodeConfig sc;
+  sc.id = 100;
+  sc.proxy_id = 1;
+  sc.policy = PushPolicy::kNone;
+  SensorNode sensor(&sim, &net, sc, [](SimTime) { return 20.0; });
+  sensor.Start();
+  sim.RunUntil(Minutes(10));
+
+  const auto deliver = [&](const ConfigUpdateMsg& update) {
+    Message message;
+    message.src = 1;
+    message.dst = sc.id;
+    message.type = static_cast<uint16_t>(MsgType::kConfigUpdate);
+    message.payload = update.Encode();
+    message.sent_at = sim.Now();
+    message.delivered_at = sim.Now();
+    sensor.OnMessage(message);
+  };
+  ConfigUpdateMsg zero_period;
+  zero_period.fields = kCfgSensingPeriod;
+  deliver(zero_period);
+  ConfigUpdateMsg zero_lpl;
+  zero_lpl.fields = kCfgLplInterval;
+  deliver(zero_lpl);
+  ConfigUpdateMsg bad_policy;
+  bad_policy.fields = kCfgPolicy;
+  bad_policy.policy = static_cast<PushPolicy>(200);
+  deliver(bad_policy);
+  ConfigUpdateMsg zero_step;
+  zero_step.fields = kCfgCompression;
+  zero_step.compress = true;
+  zero_step.quant_step = 0.0;
+  deliver(zero_step);
+  EXPECT_EQ(sensor.stats().config_updates, 0u);
+
+  const uint64_t samples = sensor.stats().samples;
+  sim.RunUntil(Minutes(20));
+  EXPECT_EQ(sensor.config().sensing_period, sc.sensing_period);
+  EXPECT_GE(sensor.stats().samples, samples + 10) << "sensing stopped";
+
+  ConfigUpdateMsg valid;
+  valid.fields = kCfgSensingPeriod;
+  valid.sensing_period = Minutes(1);
+  deliver(valid);
+  EXPECT_EQ(sensor.stats().config_updates, 1u);
+  EXPECT_EQ(sensor.config().sensing_period, Minutes(1));
 }
 
 TEST(ProtocolTest, ArchiveQueryRoundTripWithAggregate) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "src/net/network.h"
 #include "src/proxy/proxy_node.h"
@@ -20,8 +21,18 @@ double Diurnal(SimTime t) {
                                static_cast<double>(kDay));
 }
 
+// Test-local pull client: keeps every answer under the token its query carried.
+struct Answers : PullClient {
+  std::map<uint64_t, QueryAnswer> by_token;
+  void OnPullDone(uint64_t token, const QueryAnswer& answer) override {
+    by_token[token] = answer;
+  }
+};
+
 struct Rig {
   Simulator sim;
+  Answers answers;
+  uint64_t next_token = 1;
   std::unique_ptr<Network> net;
   std::unique_ptr<ProxyNode> proxy;
   std::unique_ptr<SensorNode> sensor;
@@ -38,6 +49,7 @@ struct Rig {
     pc.manage_models = mode == ProxyMode::kPresto;
     pc.enable_matcher = false;
     proxy = std::make_unique<ProxyNode>(&sim, net.get(), pc);
+    proxy->SetPullClient(&answers);
 
     SensorNodeConfig sc;
     sc.id = 100;
@@ -55,27 +67,21 @@ struct Rig {
   }
 
   QueryAnswer Now(double tolerance, Duration latency_bound = Minutes(5)) {
-    QueryAnswer out;
-    bool done = false;
-    proxy->QueryNow(100, tolerance, latency_bound, [&](const QueryAnswer& a) {
-      out = a;
-      done = true;
-    });
-    while (!done && sim.Step()) {
-    }
-    return out;
+    const uint64_t token = next_token++;
+    proxy->QueryNow(100, tolerance, latency_bound, token);
+    return Await(token);
   }
 
   QueryAnswer Past(TimeInterval range, double tolerance) {
-    QueryAnswer out;
-    bool done = false;
-    proxy->QueryPast(100, range, tolerance, [&](const QueryAnswer& a) {
-      out = a;
-      done = true;
-    });
-    while (!done && sim.Step()) {
+    const uint64_t token = next_token++;
+    proxy->QueryPast(100, range, tolerance, token);
+    return Await(token);
+  }
+
+  QueryAnswer Await(uint64_t token) {
+    while (answers.by_token.count(token) == 0 && sim.Step()) {
     }
-    return out;
+    return answers.by_token[token];
   }
 };
 
@@ -245,13 +251,11 @@ TEST(ProxyNodeTest, AlwaysPullModeAlwaysAsksSensor) {
 
 TEST(ProxyNodeTest, UnknownSensorFailsCleanly) {
   Rig rig;
-  bool done = false;
-  rig.proxy->QueryNow(999, 1.0, Seconds(10), [&](const QueryAnswer& a) {
-    EXPECT_FALSE(a.status.ok());
-    EXPECT_EQ(a.status.code(), StatusCode::kNotFound);
-    done = true;
-  });
-  EXPECT_TRUE(done);  // fails synchronously
+  rig.proxy->QueryNow(999, 1.0, Seconds(10), /*token=*/7);
+  ASSERT_EQ(rig.answers.by_token.count(7), 1u);  // fails synchronously
+  const QueryAnswer& a = rig.answers.by_token[7];
+  EXPECT_FALSE(a.status.ok());
+  EXPECT_EQ(a.status.code(), StatusCode::kNotFound);
 }
 
 TEST(ProxyNodeTest, MatcherRetunesDutyCycleFromLatencyNeeds) {
@@ -262,6 +266,8 @@ TEST(ProxyNodeTest, MatcherRetunesDutyCycleFromLatencyNeeds) {
   pc.enable_matcher = true;
   pc.manage_models = false;
   ProxyNode proxy(&sim, &net, pc);
+  Answers answers;
+  proxy.SetPullClient(&answers);
 
   SensorNodeConfig sc;
   sc.id = 100;
@@ -276,7 +282,7 @@ TEST(ProxyNodeTest, MatcherRetunesDutyCycleFromLatencyNeeds) {
   const Duration before = net.LplInterval(100);
   // A stream of latency-critical queries (1 s bound).
   for (int i = 0; i < 5; ++i) {
-    proxy.QueryNow(100, 2.0, Seconds(1), [](const QueryAnswer&) {});
+    proxy.QueryNow(100, 2.0, Seconds(1), static_cast<uint64_t>(i));
   }
   sim.RunUntil(Minutes(3));  // let maintenance run and the config propagate
   const Duration after = net.LplInterval(100);

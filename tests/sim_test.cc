@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -14,12 +17,56 @@
 namespace presto {
 namespace {
 
+// Test-local event sink: each scheduled action is a closure held here until its
+// typed event fires (the simulator itself only carries typed records). Lanes may
+// schedule concurrently, so the table is mutex-guarded; an action runs unlocked so
+// it can schedule more.
+class Actions : public EventSink {
+ public:
+  explicit Actions(Simulator* sim) : sim_(sim) {}
+
+  EventHandle At(SimTime t, std::function<void()> fn,
+                 int lane = Simulator::kLaneCurrent) {
+    EventPayload payload;
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      payload.a = next_id_++;
+      pending_.emplace(payload.a, std::move(fn));
+    }
+    return sim_->ScheduleEventAt(t, EventKind::kQuery, this, std::move(payload), lane);
+  }
+  EventHandle In(Duration delay, std::function<void()> fn,
+                 int lane = Simulator::kLaneCurrent) {
+    return At(sim_->Now() + delay, std::move(fn), lane);
+  }
+
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    ASSERT_EQ(kind, EventKind::kQuery);
+    std::function<void()> fn;
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      auto it = pending_.find(payload.a);
+      ASSERT_NE(it, pending_.end());
+      fn = std::move(it->second);
+      pending_.erase(it);
+    }
+    fn();
+  }
+
+ private:
+  Simulator* sim_;
+  std::mutex m_;
+  uint64_t next_id_ = 0;
+  std::map<uint64_t, std::function<void()>> pending_;
+};
+
 TEST(SimulatorTest, ExecutesInTimeOrder) {
   Simulator sim;
+  Actions actions(&sim);
   std::vector<int> order;
-  sim.ScheduleAt(Seconds(3), [&] { order.push_back(3); });
-  sim.ScheduleAt(Seconds(1), [&] { order.push_back(1); });
-  sim.ScheduleAt(Seconds(2), [&] { order.push_back(2); });
+  actions.At(Seconds(3), [&] { order.push_back(3); });
+  actions.At(Seconds(1), [&] { order.push_back(1); });
+  actions.At(Seconds(2), [&] { order.push_back(2); });
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.Now(), Seconds(3));
@@ -28,9 +75,10 @@ TEST(SimulatorTest, ExecutesInTimeOrder) {
 
 TEST(SimulatorTest, SameTimeIsFifo) {
   Simulator sim;
+  Actions actions(&sim);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.ScheduleAt(Seconds(1), [&order, i] { order.push_back(i); });
+    actions.At(Seconds(1), [&order, i] { order.push_back(i); });
   }
   sim.RunAll();
   for (int i = 0; i < 10; ++i) {
@@ -40,8 +88,9 @@ TEST(SimulatorTest, SameTimeIsFifo) {
 
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
+  Actions actions(&sim);
   bool fired = false;
-  EventHandle handle = sim.ScheduleIn(Seconds(1), [&] { fired = true; });
+  EventHandle handle = actions.In(Seconds(1), [&] { fired = true; });
   handle.Cancel();
   sim.RunAll();
   EXPECT_FALSE(fired);
@@ -50,8 +99,9 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 
 TEST(SimulatorTest, RunUntilAdvancesClockWithoutOvershooting) {
   Simulator sim;
+  Actions actions(&sim);
   bool late_fired = false;
-  sim.ScheduleAt(Seconds(10), [&] { late_fired = true; });
+  actions.At(Seconds(10), [&] { late_fired = true; });
   sim.RunUntil(Seconds(5));
   EXPECT_EQ(sim.Now(), Seconds(5));
   EXPECT_FALSE(late_fired);
@@ -62,13 +112,14 @@ TEST(SimulatorTest, RunUntilAdvancesClockWithoutOvershooting) {
 
 TEST(SimulatorTest, EventsCanScheduleEvents) {
   Simulator sim;
+  Actions actions(&sim);
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 5) {
-      sim.ScheduleIn(Seconds(1), recurse);
+      actions.In(Seconds(1), recurse);
     }
   };
-  sim.ScheduleIn(Seconds(1), recurse);
+  actions.In(Seconds(1), recurse);
   sim.RunAll();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.Now(), Seconds(5));
@@ -76,8 +127,9 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
 
 TEST(SimulatorTest, NextEventTime) {
   Simulator sim;
+  Actions actions(&sim);
   EXPECT_EQ(sim.NextEventTime(), -1);
-  sim.ScheduleAt(Seconds(4), [] {});
+  actions.At(Seconds(4), [] {});
   EXPECT_EQ(sim.NextEventTime(), Seconds(4));
 }
 
@@ -139,8 +191,9 @@ TEST(PeriodicTimerTest, RestartReschedules) {
 TEST(SimulatorTest, LegacyFingerprintIsScheduleSensitive) {
   auto run = [](bool swap) {
     Simulator sim;
-    sim.ScheduleAt(Seconds(swap ? 2 : 1), [] {});
-    sim.ScheduleAt(Seconds(swap ? 1 : 2), [] {});
+  Actions actions(&sim);
+    actions.At(Seconds(swap ? 2 : 1), [] {});
+    actions.At(Seconds(swap ? 1 : 2), [] {});
     sim.RunAll();
     return sim.fingerprint();
   };
@@ -160,24 +213,25 @@ struct LaneCell {
 uint64_t RunLaneWorkload(int threads, uint64_t* executed = nullptr) {
   constexpr int kLanes = 4;
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(kLanes, threads, Millis(100));
   auto cells = std::make_shared<std::array<LaneCell, kLanes>>();
-  std::function<void(int)> tick = [&sim, cells, &tick](int lane) {
+  std::function<void(int)> tick = [&actions, &sim, cells, &tick](int lane) {
     LaneCell& cell = (*cells)[static_cast<size_t>(lane)];
     ++cell.count;
     if (cell.count % 3 == 0) {
       // Cross-lane post: lands via the mailbox, executes in the target's lane.
       const int target = (lane + 1) % kLanes;
-      sim.ScheduleIn(Millis(7),
-                     [cells, target] { ++(*cells)[static_cast<size_t>(target)].count; },
-                     target);
+      actions.In(Millis(7),
+                 [cells, target] { ++(*cells)[static_cast<size_t>(target)].count; },
+                 target);
     }
     if (sim.Now() < Seconds(30)) {
-      sim.ScheduleIn(Millis(11 + lane), [&tick, lane] { tick(lane); });
+      actions.In(Millis(11 + lane), [&tick, lane] { tick(lane); });
     }
   };
   for (int lane = 0; lane < kLanes; ++lane) {
-    sim.ScheduleAt(Millis(1 + lane), [&tick, lane] { tick(lane); }, lane);
+    actions.At(Millis(1 + lane), [&tick, lane] { tick(lane); }, lane);
   }
   sim.RunUntil(Seconds(31));
   if (executed != nullptr) {
@@ -205,10 +259,11 @@ TEST(LaneEngineTest, FingerprintIdenticalAcrossWorkerCounts) {
 
 TEST(LaneEngineTest, CrossLaneCancellation) {
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(4, 2, Millis(100));
   bool fired = false;
   // Scheduled from control into lane 2, cancelled from control before it fires.
-  EventHandle handle = sim.ScheduleAt(Seconds(1), [&] { fired = true; }, 2);
+  EventHandle handle = actions.At(Seconds(1), [&] { fired = true; }, 2);
   ASSERT_TRUE(handle.valid());
   handle.Cancel();
   sim.RunUntil(Seconds(2));
@@ -218,20 +273,21 @@ TEST(LaneEngineTest, CrossLaneCancellation) {
 
 TEST(LaneEngineTest, CancellationIsGenerationScoped) {
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(2, 1, Millis(100));
   bool a_fired = false;
   bool b_fired = false;
-  EventHandle a = sim.ScheduleAt(Seconds(1), [&] { a_fired = true; }, 0);
+  EventHandle a = actions.At(Seconds(1), [&] { a_fired = true; }, 0);
   a.Cancel();  // releases the slot
   // B reuses A's slot under a fresh generation.
-  EventHandle b = sim.ScheduleAt(Seconds(1), [&] { b_fired = true; }, 0);
+  EventHandle b = actions.At(Seconds(1), [&] { b_fired = true; }, 0);
   a.Cancel();  // stale generation: must NOT cancel B
   sim.RunUntil(Seconds(2));
   EXPECT_FALSE(a_fired);
   EXPECT_TRUE(b_fired);
   b.Cancel();  // cancel-after-fire is a no-op
   bool c_fired = false;
-  sim.ScheduleAt(Seconds(3), [&] { c_fired = true; }, 0);
+  actions.At(Seconds(3), [&] { c_fired = true; }, 0);
   sim.RunUntil(Seconds(3));
   EXPECT_TRUE(c_fired);
 }
@@ -240,17 +296,17 @@ TEST(LaneEngineTest, MailboxOrderingAtBarriers) {
   // Lane 2 posts first in real order, lane 0 second — the barrier drains mailboxes
   // in source-lane order, so lane 0's mail arrives first, all clamped to the barrier.
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(3, 3, Millis(100));
   auto log = std::make_shared<std::vector<std::pair<std::string, SimTime>>>();
-  auto post = [&sim, log](const char* tag) {
-    sim.ScheduleIn(Millis(1), [log, tag, &sim] { log->emplace_back(tag, sim.Now()); },
-                   1);
+  auto post = [&actions, &sim, log](const char* tag) {
+    actions.In(Millis(1), [log, tag, &sim] { log->emplace_back(tag, sim.Now()); }, 1);
   };
-  sim.ScheduleAt(Millis(5), [&] {
+  actions.At(Millis(5), [&] {
     post("two-a");
     post("two-b");
   }, 2);
-  sim.ScheduleAt(Millis(9), [&] { post("zero"); }, 0);
+  actions.At(Millis(9), [&] { post("zero"); }, 0);
   sim.RunUntil(Seconds(1));
   ASSERT_EQ(log->size(), 3u);
   EXPECT_EQ((*log)[0].first, "zero");
@@ -264,13 +320,14 @@ TEST(LaneEngineTest, MailboxOrderingAtBarriers) {
 
 TEST(LaneEngineTest, EventPoolSlotsAreReused) {
   Simulator sim;  // legacy single lane: same pool machinery
+  Actions actions(&sim);
   int remaining = 2000;
   std::function<void()> chain = [&] {
     if (--remaining > 0) {
-      sim.ScheduleIn(Millis(1), chain);
+      actions.In(Millis(1), chain);
     }
   };
-  sim.ScheduleIn(Millis(1), chain);
+  actions.In(Millis(1), chain);
   sim.RunAll();
   EXPECT_EQ(remaining, 0);
   // A chain keeps at most a couple of live events; the pool must not grow per event.
@@ -303,21 +360,25 @@ TEST(LaneEngineTest, TimersFireInBoundLanes) {
 
 // ---------- barrier-time lane re-binding ----------
 
-bool MatchCallbacks(EventKind kind, const EventSink*, const EventPayload&) {
-  return kind == EventKind::kCallback;
+// Matches every event the test's Actions sink scheduled.
+auto MatchActions(const Actions& actions) {
+  return [&actions](EventKind, const EventSink* sink, const EventPayload&) {
+    return sink == &actions;
+  };
 }
 
 TEST(LaneRebindTest, PendingEventsHandOffPreservingDeliveryTimes) {
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(2, 2, Millis(100));
   auto fires = std::make_shared<std::vector<std::pair<int, SimTime>>>();
   for (int i = 1; i <= 3; ++i) {
-    sim.ScheduleAt(Millis(250 * i), [&sim, fires] {
+    actions.At(Millis(250 * i), [&sim, fires] {
       fires->emplace_back(sim.CurrentLane(), sim.Now());
     }, 0);
   }
   sim.RunUntil(Millis(100));  // a barrier; nothing has fired yet
-  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchCallbacks), 3u);
+  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchActions(actions)), 3u);
   sim.RunUntil(Seconds(1));
   ASSERT_EQ(fires->size(), 3u);
   for (int i = 0; i < 3; ++i) {
@@ -330,16 +391,17 @@ TEST(LaneRebindTest, PendingEventsHandOffPreservingDeliveryTimes) {
 
 TEST(LaneRebindTest, UndrainedMailFollowsTheRebind) {
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(2, 2, Millis(100));
   auto lanes_seen = std::make_shared<std::vector<int>>();
   // A lane-1 event posts cross-lane work at lane 0 mid-epoch; that mail waits in
   // lane 0's inbox for the next opening barrier — exactly when a re-bind happens.
-  sim.ScheduleAt(Millis(5), [&sim, lanes_seen] {
-    sim.ScheduleIn(Millis(1),
-                   [lanes_seen, &sim] { lanes_seen->push_back(sim.CurrentLane()); }, 0);
+  actions.At(Millis(5), [&actions, &sim, lanes_seen] {
+    actions.In(Millis(1),
+               [lanes_seen, &sim] { lanes_seen->push_back(sim.CurrentLane()); }, 0);
   }, 1);
   sim.RunUntil(Millis(100));
-  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchCallbacks), 1u);
+  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchActions(actions)), 1u);
   sim.RunUntil(Millis(300));
   ASSERT_EQ(lanes_seen->size(), 1u);
   EXPECT_EQ((*lanes_seen)[0], 1) << "undrained mail must deliver into the new lane";
@@ -347,15 +409,16 @@ TEST(LaneRebindTest, UndrainedMailFollowsTheRebind) {
 
 TEST(LaneRebindTest, StaleHandlesAfterRebindAreNoOps) {
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(2, 1, Millis(100));
   bool moved_fired = false;
   bool other_fired = false;
-  EventHandle handle = sim.ScheduleAt(Seconds(1), [&] { moved_fired = true; }, 0);
+  EventHandle handle = actions.At(Seconds(1), [&] { moved_fired = true; }, 0);
   sim.RunUntil(Millis(100));
-  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchCallbacks), 1u);
+  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchActions(actions)), 1u);
   // The move released the source slot under a fresh generation; a later event may
   // reuse it.
-  sim.ScheduleAt(Seconds(2), [&] { other_fired = true; }, 0);
+  actions.At(Seconds(2), [&] { other_fired = true; }, 0);
   // The pre-move handle is stale: cancelling through it must affect neither the
   // moved event nor the slot's new occupant (generation-scoped, same as after any
   // cancel/reuse cycle).
@@ -393,26 +456,27 @@ uint64_t RunRebindWorkload(int threads, uint64_t* executed = nullptr,
                            bool with_rebinds = true) {
   constexpr int kLanes = 4;
   Simulator sim;
+  Actions actions(&sim);
   sim.ConfigureLanes(kLanes, threads, Millis(100));
   auto cells = std::make_shared<std::array<LaneCell, kLanes>>();
-  std::function<void(int)> tick = [&sim, cells, &tick](int chain) {
+  std::function<void(int)> tick = [&actions, &sim, cells, &tick](int chain) {
     LaneCell& cell = (*cells)[static_cast<size_t>(chain)];
     ++cell.count;
     if (cell.count % 3 == 0) {
-      sim.ScheduleIn(Millis(7), [] {}, (chain + 1) % kLanes);
+      actions.In(Millis(7), [] {}, (chain + 1) % kLanes);
     }
     if (sim.Now() < Seconds(30)) {
       // Current-lane reschedule: after a re-bind the chain keeps running wherever
       // it was moved to.
-      sim.ScheduleIn(Millis(11 + chain), [&tick, chain] { tick(chain); });
+      actions.In(Millis(11 + chain), [&tick, chain] { tick(chain); });
     }
   };
   for (int chain = 0; chain < kLanes; ++chain) {
-    sim.ScheduleAt(Millis(1 + chain), [&tick, chain] { tick(chain); }, chain);
+    actions.At(Millis(1 + chain), [&tick, chain] { tick(chain); }, chain);
   }
   for (int k = 0; with_rebinds && k < 5; ++k) {
-    sim.ScheduleAt(Seconds(5 * (k + 1)), [&sim, k] {
-      sim.RebindMatchingEvents(k % kLanes, (k + 1) % kLanes, MatchCallbacks);
+    actions.At(Seconds(5 * (k + 1)), [&actions, &sim, k] {
+      sim.RebindMatchingEvents(k % kLanes, (k + 1) % kLanes, MatchActions(actions));
     }, Simulator::kLaneControl);
   }
   sim.RunUntil(Seconds(31));
